@@ -3,14 +3,15 @@
 Exit codes: 0 success, 2 configuration errors (bad flags or config files),
 3 data errors (missing or malformed datasets, vocab or id mismatches,
 unparseable input equations), 4 runtime errors (division by zero, external
-predictor failures). Identical inputs and seed produce byte-identical output
-artifacts.
+predictor failures, standard output closed by its reader). Identical inputs
+and seed produce byte-identical output artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,7 @@ from .model import (
     SubprocessPredictor,
     beam_decode,
     external_predict,
-    greedy_decode,
+    greedy_decode_batch,
     init_parameters,
     load_checkpoint,
     prepare_pairs,
@@ -120,19 +121,19 @@ def _train_once(
 
 
 def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
-    predictions = []
+    sources = []
     for rec in records:
         src = encode(tokenize(rec.problem_text), ckpt.src_vocab)
         if not src:
             raise ds.DatasetError(f"record {rec.id!r} has an empty problem after tokenization")
         if len(src) > ckpt.config.max_len:
             raise ds.DatasetError(f"record {rec.id!r} exceeds max_len={ckpt.config.max_len}")
-        if beam > 0:
-            ids = beam_decode(ckpt.params, ckpt.config, src, beam_size=beam)
-        else:
-            ids = greedy_decode(ckpt.params, ckpt.config, src)
-        predictions.append(" ".join(decode(ids, ckpt.tgt_vocab, strip_special=True).tokens))
-    return predictions
+        sources.append(src)
+    if beam > 0:
+        decoded = [beam_decode(ckpt.params, ckpt.config, src, beam_size=beam) for src in sources]
+    else:
+        decoded = greedy_decode_batch(ckpt.params, ckpt.config, sources)
+    return [" ".join(decode(ids, ckpt.tgt_vocab, strip_special=True).tokens) for ids in decoded]
 
 
 def _load_checkpoint_file(path: str | Path) -> Checkpoint:
@@ -419,10 +420,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Send further output to os.devnull once the reader of stdout is gone,
+    as the SIGPIPE note in Python's ``signal`` docs advises, so the flush at
+    exit does not fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # stdout is not a file
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        _stdout_to_devnull()
+        print(f"runtime error: standard output closed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -47,20 +47,16 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
-def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = 4) -> float:
-    """Smoothed sentence-level BLEU in [0, 1].
+def _match_counts(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> list[tuple[int, int]]:
+    """Clipped matches and candidate n-gram totals for n = 1..max_n."""
+    return [_clipped_matches(candidate, reference, n) for n in range(1, max_n + 1)]
 
-    Geometric mean of modified n-gram precisions for n = 1..max_n; the
-    unigram precision is unsmoothed (zero overlap scores zero) and the
-    higher orders get add-one smoothing, times the brevity penalty.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    if not candidate:
+
+def _sentence_bleu_from_counts(counts: list[tuple[int, int]], cand_len: int, ref_len: int) -> float:
+    if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
-        matches, total = _clipped_matches(candidate, reference, n)
+    for n, (matches, total) in enumerate(counts, 1):
         if n == 1:
             if matches == 0:
                 return 0.0
@@ -68,28 +64,20 @@ def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int
         else:
             p = (matches + 1) / (total + 1)
         log_sum += math.log(p)
-    return _brevity_penalty(len(candidate), len(reference)) * math.exp(log_sum / max_n)
+    return _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / len(counts))
 
 
-def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int = 4) -> float:
-    """Corpus BLEU on the 0..100 scale with pooled, unsmoothed counts.
-
-    N-gram orders for which the whole corpus has no candidate n-grams are
-    excluded from the geometric mean (short sentences would otherwise zero
-    out identical corpora).
-    """
-    if not pairs:
-        raise ValueError("corpus_bleu needs at least one pair")
+def _corpus_bleu_from_counts(tallies: Sequence[tuple[list[tuple[int, int]], int, int]], max_n: int) -> float:
+    """Corpus BLEU from per-pair (counts, candidate length, reference length)."""
     matches = [0] * max_n
     totals = [0] * max_n
     cand_len = ref_len = 0
-    for candidate, reference in pairs:
-        cand_len += len(candidate)
-        ref_len += len(reference)
-        for n in range(1, max_n + 1):
-            m, t = _clipped_matches(candidate, reference, n)
-            matches[n - 1] += m
-            totals[n - 1] += t
+    for counts, c_len, r_len in tallies:
+        cand_len += c_len
+        ref_len += r_len
+        for n, (m, t) in enumerate(counts):
+            matches[n] += m
+            totals[n] += t
     log_sum = 0.0
     orders = 0
     for m, t in zip(matches, totals):
@@ -102,6 +90,33 @@ def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int
     if orders == 0:
         return 0.0
     return 100.0 * _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / orders)
+
+
+def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = 4) -> float:
+    """Smoothed sentence-level BLEU in [0, 1].
+
+    Geometric mean of modified n-gram precisions for n = 1..max_n; the
+    unigram precision is unsmoothed (zero overlap scores zero) and the
+    higher orders get add-one smoothing, times the brevity penalty.
+    """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    if not candidate:
+        return 0.0
+    return _sentence_bleu_from_counts(_match_counts(candidate, reference, max_n), len(candidate), len(reference))
+
+
+def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int = 4) -> float:
+    """Corpus BLEU on the 0..100 scale with pooled, unsmoothed counts.
+
+    N-gram orders for which the whole corpus has no candidate n-grams are
+    excluded from the geometric mean (short sentences would otherwise zero
+    out identical corpora).
+    """
+    if not pairs:
+        raise ValueError("corpus_bleu needs at least one pair")
+    tallies = [(_match_counts(c, r, max_n), len(c), len(r)) for c, r in pairs]
+    return _corpus_bleu_from_counts(tallies, max_n)
 
 
 # --- solution accuracy ----------------------------------------------------
@@ -218,8 +233,14 @@ def evaluate_corpus(
     """
     if len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} predictions for {len(records)} records")
+    if not records:
+        raise ValueError("no records to score")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     results: list[RecordResult] = []
-    token_pairs: list[tuple[list[str], list[str]]] = []
+    # clipped n-gram counts are taken once per record and serve both the
+    # sentence score and the pooled corpus score
+    tallies: list[tuple[list[tuple[int, int]], int, int]] = []
     correct = 0
     for pred, rec in zip(predictions, records):
         try:
@@ -235,7 +256,7 @@ def evaluate_corpus(
         pred_canon, _ = _canonical_or_raw(pred)
         cand_tokens = tokenize(pred_canon).tokens
         ref_tokens = tokenize(ref_canon).tokens
-        token_pairs.append((cand_tokens, ref_tokens))
+        tallies.append((_match_counts(cand_tokens, ref_tokens, max_n), len(cand_tokens), len(ref_tokens)))
 
         pred_value = _solve_or_none(pred)
         if pred_value is None:
@@ -250,14 +271,14 @@ def evaluate_corpus(
                 id=rec.id,
                 predicted=pred,
                 reference=ref_canon,
-                bleu=sentence_bleu(cand_tokens, ref_tokens, max_n),
+                bleu=_sentence_bleu_from_counts(*tallies[-1]),
                 solved_value=None if pred_value is None else str(pred_value),
                 reference_value=str(ref_value),
                 verdict=verdict,
             )
         )
     return EvalReport(
-        corpus_bleu=corpus_bleu(token_pairs, max_n),
+        corpus_bleu=_corpus_bleu_from_counts(tallies, max_n),
         solution_accuracy=correct / len(records),
         n_records=len(records),
         per_record=results,

@@ -11,7 +11,7 @@ from .attention import (
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
-from .decoding import beam_decode, greedy_decode
+from .decoding import beam_decode, greedy_decode, greedy_decode_batch
 from .external import FilePredictions, SubprocessPredictor, external_predict
 from .network import (
     Parameters,
@@ -58,6 +58,7 @@ __all__ = [
     "forward_with_tape",
     "global_norm",
     "greedy_decode",
+    "greedy_decode_batch",
     "init_adam",
     "init_parameters",
     "load_checkpoint",

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..preprocess import RESERVED_TOKENS, Vocab
 from .config import ModelConfig
-from .network import Parameters
+from .network import Parameters, parameter_shapes
 
 MAGIC = b"MWPCKPT1\n"
 FORMAT_VERSION = 1
@@ -73,32 +73,61 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{path}: truncated checkpoint metadata")
     meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
     offset += meta_len
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint metadata is not an object")
     if meta.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
-    config = ModelConfig.from_dict(meta["model_config"])
+    missing = [k for k in ("model_config", "src_vocab", "tgt_vocab", "tensors") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    try:
+        config = ModelConfig.from_dict(meta["model_config"])
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad model_config: {exc}") from exc
+    src_vocab = _vocab_from_tokens(path, "src_vocab", meta["src_vocab"], config.src_vocab_size)
+    tgt_vocab = _vocab_from_tokens(path, "tgt_vocab", meta["tgt_vocab"], config.tgt_vocab_size)
+    extra = meta.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"{path}: checkpoint extra is not an object")
+    manifest = _manifest(path, meta["tensors"], parameter_shapes(config))
     params: Parameters = {}
-    for entry in meta["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+    for key, shape in manifest:
+        size = int(np.prod(shape))
         nbytes = size * 8
         if len(data) < offset + nbytes:
-            raise ValueError(f"{path}: truncated tensor data for {entry['key']!r}")
-        params[entry["key"]] = (
-            np.frombuffer(data, dtype=np.float64, count=size, offset=offset).reshape(shape).copy()
-        )
+            raise ValueError(f"{path}: truncated tensor data for {key!r}")
+        params[key] = np.frombuffer(data, dtype=np.float64, count=size, offset=offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after tensor data")
-    return Checkpoint(
-        params=params,
-        config=config,
-        src_vocab=_vocab_from_tokens(path, "src_vocab", meta["src_vocab"]),
-        tgt_vocab=_vocab_from_tokens(path, "tgt_vocab", meta["tgt_vocab"]),
-        extra=meta.get("extra", {}),
-    )
+    return Checkpoint(params=params, config=config, src_vocab=src_vocab, tgt_vocab=tgt_vocab, extra=extra)
 
 
-def _vocab_from_tokens(path, name, tokens) -> Vocab:
+def _manifest(path, tensors, expected: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
+    """(key, shape) per tensor entry, which must name exactly the model's parameters."""
+    try:
+        manifest = [(entry["key"], tuple(entry["shape"])) for entry in tensors]
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: malformed tensor manifest") from exc
+    if not all(isinstance(key, str) for key, _ in manifest):
+        raise ValueError(f"{path}: malformed tensor manifest")
+    if len(manifest) != len(expected) or dict(manifest) != expected:
+        names = {key for key, _ in manifest}
+        unexpected = sorted(names - set(expected))
+        absent = sorted(set(expected) - names)
+        wrong = sorted(k for k, shape in manifest if k in expected and shape != expected[k])
+        raise ValueError(
+            f"{path}: tensors do not match the model config "
+            f"(missing {absent[:3]}, unexpected {unexpected[:3]}, wrong shape {wrong[:3]})"
+        )
+    return [(key, expected[key]) for key, _ in manifest]
+
+
+def _vocab_from_tokens(path, name, tokens, size: int) -> Vocab:
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"{path}: {name} is not a list of tokens")
     if tuple(tokens[:4]) != RESERVED_TOKENS:
         raise ValueError(f"{path}: {name} does not start with the reserved tokens")
+    if len(tokens) != size:
+        raise ValueError(f"{path}: {name} has {len(tokens)} tokens, the model config {size}")
     return Vocab(tokens[4:])

@@ -1,9 +1,19 @@
-"""Greedy and beam-search decoding for a single source sequence.
+"""Greedy and beam-search decoding with a key/value cache.
 
-Both decoders compute the encoder memory once and re-run only the decoder
-stack as the prefix grows. Returned ids exclude BOS and EOS. Ties are broken
-toward the smaller token id, so decoding is fully deterministic; beam search
-with beam_size=1 reproduces greedy decoding exactly.
+Each source is encoded once. Every decoding step then feeds one new token
+per sequence through ``decode_step``, which appends that position's
+self-attention keys and values to a cache and attends to cross-attention
+keys and values projected once per source, so no step re-runs the decoder
+over the prefix.
+
+Greedy decoding takes a list of sources and decodes them in chunks of
+``GREEDY_CHUNK_SIZE``, sorted by length so a chunk pads little; padded
+source positions are masked, and a row leaves the batch and the cache when
+it emits EOS. Beam search decodes one source at a time, its hypotheses
+sharing that source's cross-attention keys and values. Returned ids exclude
+BOS and EOS. Ties are broken toward the smaller token id, so decoding is
+fully deterministic; beam search with beam_size=1 reproduces greedy
+decoding exactly.
 """
 
 from __future__ import annotations
@@ -12,12 +22,59 @@ import numpy as np
 
 from ..preprocess import BOS_ID, EOS_ID, PAD_ID
 from .config import ModelConfig
-from .network import Parameters, decode_logits, encode
+from .network import Parameters, decode_step, encode, start_decoding
+
+GREEDY_CHUNK_SIZE = 8
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:
     shifted = row - row.max()
     return shifted - np.log(np.exp(shifted).sum())
+
+
+def _one_source(src_ids) -> np.ndarray:
+    src = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
+    if src.shape[0] != 1:
+        raise ValueError(f"expected one source sequence, got a batch of {src.shape[0]}")
+    return src[0]
+
+
+def greedy_decode_batch(
+    params: Parameters,
+    config: ModelConfig,
+    sources,
+    max_steps: int | None = None,
+    bos_id: int = BOS_ID,
+    eos_id: int = EOS_ID,
+    pad_id: int = PAD_ID,
+) -> list[list[int]]:
+    """Greedy ids for each source, in input order; see ``greedy_decode``."""
+    sources = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sources]
+    if any(len(s) == 0 for s in sources):
+        raise ValueError("src_ids has zero time steps")
+    limit = config.max_len - 1 if max_steps is None else max_steps
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    results: list[list[int]] = [[] for _ in sources]
+    for start in range(0, len(order), GREEDY_CHUNK_SIZE):
+        chunk = order[start : start + GREEDY_CHUNK_SIZE]
+        src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), pad_id, dtype=np.int64)
+        for row, i in enumerate(chunk):
+            src[row, : len(sources[i])] = sources[i]
+        memory, src_mask = encode(params, config, src, pad_id=pad_id)
+        cache = start_decoding(params, config, memory, src_mask)
+        live = np.array(chunk)
+        tokens = np.full(len(chunk), bos_id, dtype=np.int64)
+        for _ in range(limit):
+            tokens = np.argmax(decode_step(params, config, cache, tokens, pad_id=pad_id), axis=-1)
+            going = tokens != eos_id
+            for i, token in zip(live[going], tokens[going]):
+                results[i].append(int(token))
+            if not going.all():
+                if not going.any():
+                    break
+                keep = np.flatnonzero(going)
+                cache, live, tokens = cache.select(keep), live[keep], tokens[keep]
+    return results
 
 
 def greedy_decode(
@@ -30,17 +87,7 @@ def greedy_decode(
     pad_id: int = PAD_ID,
 ) -> list[int]:
     """Repeatedly append the argmax token until EOS or the step limit."""
-    src = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
-    memory, src_mask = encode(params, config, src, pad_id=pad_id)
-    limit = config.max_len - 1 if max_steps is None else max_steps
-    seq = [bos_id]
-    for _ in range(limit):
-        logits = decode_logits(params, config, memory, src_mask, np.array([seq]), pad_id=pad_id)
-        next_id = int(np.argmax(logits[0, -1]))
-        if next_id == eos_id:
-            break
-        seq.append(next_id)
-    return seq[1:]
+    return greedy_decode_batch(params, config, [_one_source(src_ids)], max_steps, bos_id, eos_id, pad_id)[0]
 
 
 def beam_decode(
@@ -61,37 +108,38 @@ def beam_decode(
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    src = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
+    src = _one_source(src_ids)[None]
     memory, src_mask = encode(params, config, src, pad_id=pad_id)
+    cache = start_decoding(params, config, memory, src_mask)
     limit = config.max_len - 1 if max_steps is None else max_steps
 
-    # hypothesis: (token tuple starting with BOS, summed logprob, finished)
-    beams: list[tuple[tuple[int, ...], float, bool]] = [((bos_id,), 0.0, False)]
+    # hypothesis: (token tuple starting with BOS, summed logprob, finished,
+    # cache row of the live parent it grew from); cache row r holds the
+    # r-th live hypothesis, whose last token is the next step's input
+    beams: list[tuple[tuple[int, ...], float, bool, int]] = [((bos_id,), 0.0, False, 0)]
     for _ in range(limit):
         live = [h for h in beams if not h[2]]
         if not live:
             break
-        prefixes = np.array([h[0] for h in live], dtype=np.int64)
-        mem = np.repeat(memory, len(live), axis=0)
-        msk = np.repeat(src_mask, len(live), axis=0)
-        logits = decode_logits(params, config, mem, msk, prefixes, pad_id=pad_id)
+        cache = cache.select([h[3] for h in live])
+        logits = decode_step(params, config, cache, [h[0][-1] for h in live], pad_id=pad_id)
         candidates = [h for h in beams if h[2]]
-        for row, (tokens, score, _) in enumerate(live):
-            logp = _log_softmax(logits[row, -1])
+        for row, (tokens, score, _, _) in enumerate(live):
+            logp = _log_softmax(logits[row])
             order = np.argsort(-logp, kind="stable")[: beam_size + 1]
             for token in order:
                 token = int(token)
                 if token == eos_id:
-                    candidates.append((tokens, score + float(logp[token]), True))
+                    candidates.append((tokens, score + float(logp[token]), True, row))
                 else:
-                    candidates.append((tokens + (token,), score + float(logp[token]), False))
+                    candidates.append((tokens + (token,), score + float(logp[token]), False, row))
         candidates.sort(key=lambda h: (-h[1], h[0]))
         beams = candidates[:beam_size]
         if all(h[2] for h in beams):
             break
     # unfinished survivors count their generated tokens; finished ones also
     # paid for EOS, so normalize by generated length including EOS
-    def final_score(h: tuple[tuple[int, ...], float, bool]) -> float:
+    def final_score(h: tuple[tuple[int, ...], float, bool, int]) -> float:
         generated = len(h[0]) - 1 + (1 if h[2] else 0)
         return h[1] / max(generated, 1)
 

@@ -15,9 +15,17 @@ Layout per layer (post-layer-norm residual blocks):
 Token embeddings are scaled by sqrt(d_model) before the sinusoidal position
 table is added, and the final projection to vocabulary logits is a plain
 affine map from the decoder output.
+
+Inference keeps no tape. ``encode`` runs the encoder once per source, and
+``decode_step`` advances the decoder by one position per row against a
+``DecoderCache``: the cross-attention keys and values are projected once
+from the encoder memory, and each step appends its self-attention keys and
+values, so no step re-runs the decoder over the prefix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,33 +37,28 @@ Parameters = dict[str, np.ndarray]
 LN_EPS = 1e-5
 
 
-def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains."""
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in initialization order."""
     d, h, d_k, d_ff = config.d_model, config.n_heads, config.d_k, config.d_ff
-    params: Parameters = {}
-
-    def glorot(shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def add_mha(prefix: str) -> None:
-        params[f"{prefix}.w_q"] = glorot((h, d, d_k), d, d_k)
-        params[f"{prefix}.w_k"] = glorot((h, d, d_k), d, d_k)
-        params[f"{prefix}.w_v"] = glorot((h, d, d_k), d, d_k)
-        params[f"{prefix}.w_o"] = glorot((h * d_k, d), h * d_k, d)
+        for name in ("w_q", "w_k", "w_v"):
+            shapes[f"{prefix}.{name}"] = (h, d, d_k)
+        shapes[f"{prefix}.w_o"] = (h * d_k, d)
 
     def add_ln(prefix: str) -> None:
-        params[f"{prefix}.g"] = np.ones(d)
-        params[f"{prefix}.b"] = np.zeros(d)
+        shapes[f"{prefix}.g"] = (d,)
+        shapes[f"{prefix}.b"] = (d,)
 
     def add_ff(prefix: str) -> None:
-        params[f"{prefix}.w1"] = glorot((d, d_ff), d, d_ff)
-        params[f"{prefix}.b1"] = np.zeros(d_ff)
-        params[f"{prefix}.w2"] = glorot((d_ff, d), d_ff, d)
-        params[f"{prefix}.b2"] = np.zeros(d)
+        shapes[f"{prefix}.w1"] = (d, d_ff)
+        shapes[f"{prefix}.b1"] = (d_ff,)
+        shapes[f"{prefix}.w2"] = (d_ff, d)
+        shapes[f"{prefix}.b2"] = (d,)
 
-    params["src_embed"] = glorot((config.src_vocab_size, d), config.src_vocab_size, d)
-    params["tgt_embed"] = glorot((config.tgt_vocab_size, d), config.tgt_vocab_size, d)
+    shapes["src_embed"] = (config.src_vocab_size, d)
+    shapes["tgt_embed"] = (config.tgt_vocab_size, d)
     for i in range(config.n_encoder_layers):
         add_mha(f"enc{i}.att")
         add_ln(f"enc{i}.ln1")
@@ -68,8 +71,26 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters
         add_ln(f"dec{i}.ln2")
         add_ff(f"dec{i}.ff")
         add_ln(f"dec{i}.ln3")
-    params["out.w"] = glorot((d, config.tgt_vocab_size), d, config.tgt_vocab_size)
-    params["out.b"] = np.zeros(config.tgt_vocab_size)
+    shapes["out.w"] = (d, config.tgt_vocab_size)
+    shapes["out.b"] = (config.tgt_vocab_size,)
+    return shapes
+
+
+def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
+    """Glorot-uniform weights, zero biases, unit layer-norm gains.
+
+    A weight's fan-in and fan-out are its last two dimensions, so each
+    attention head's (d_model, d_k) projection is scaled on its own.
+    """
+    params: Parameters = {}
+    for name, shape in parameter_shapes(config).items():
+        if name.endswith(".g"):
+            params[name] = np.ones(shape)
+        elif len(shape) == 1:
+            params[name] = np.zeros(shape)
+        else:
+            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+            params[name] = rng.uniform(-limit, limit, size=shape)
     return params
 
 
@@ -115,7 +136,8 @@ def _outer_grad(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 def _dropout_fwd(x, p, train, rng, tape, key):
     if not train or p == 0.0:
-        tape[key] = None
+        if tape is not None:
+            tape[key] = None
         return x
     if rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
@@ -129,10 +151,11 @@ def _dropout_bwd(d_out, tape, key):
     return d_out if mask is None else d_out * mask
 
 
-def _ln_fwd(params, prefix, x, tape):
+def _ln_fwd(params, prefix, x, tape=None):
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
     xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
-    tape[prefix] = (xhat, inv)
+    if tape is not None:
+        tape[prefix] = (xhat, inv)
     return params[f"{prefix}.g"] * xhat + params[f"{prefix}.b"]
 
 
@@ -149,17 +172,29 @@ def _ln_bwd(params, prefix, d_out, tape, grads):
     )
 
 
-def _mha_fwd(params, prefix, query, key, value, mask, tape):
-    q = _project_heads(query, params[f"{prefix}.w_q"])
-    k = _project_heads(key, params[f"{prefix}.w_k"])
-    v = _project_heads(value, params[f"{prefix}.w_v"])
+def _attend(params, prefix, q, k, v, mask):
+    """Scaled dot-product attention over projected heads, then ``w_o``.
+
+    q is (B, H, T_q, K); k and v are (B, H, T_k, K), or (1, H, T_k, K) to
+    serve every row. Returns the output (B, T_q, D) plus the weights and
+    concatenated heads that backward needs.
+    """
     scores = q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
     weights = masked_softmax(scores, mask)
     heads = weights @ v
     b, h, t_q, d_k = heads.shape
     concat = heads.transpose(0, 2, 1, 3).reshape(b, t_q, h * d_k)
-    tape[prefix] = (query, key, value, q, k, v, weights, concat)
-    return _mm(concat, params[f"{prefix}.w_o"])
+    return _mm(concat, params[f"{prefix}.w_o"]), weights, concat
+
+
+def _mha_fwd(params, prefix, query, key, value, mask, tape=None):
+    q = _project_heads(query, params[f"{prefix}.w_q"])
+    k = _project_heads(key, params[f"{prefix}.w_k"])
+    v = _project_heads(value, params[f"{prefix}.w_v"])
+    out, weights, concat = _attend(params, prefix, q, k, v, mask)
+    if tape is not None:
+        tape[prefix] = (query, key, value, q, k, v, weights, concat)
+    return out
 
 
 def _mha_bwd(params, prefix, d_out, tape, grads):
@@ -184,10 +219,11 @@ def _mha_bwd(params, prefix, d_out, tape, grads):
     return d_query, d_key, d_value
 
 
-def _ff_fwd(params, prefix, x, tape):
+def _ff_fwd(params, prefix, x, tape=None):
     pre = _mm(x, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"]
     hidden = np.maximum(pre, 0.0)
-    tape[prefix] = (x, pre, hidden)
+    if tape is not None:
+        tape[prefix] = (x, pre, hidden)
     return _mm(hidden, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
 
 
@@ -215,6 +251,36 @@ def _check_batch(name, ids, max_len):
     return ids.astype(np.int64, copy=False)
 
 
+@lru_cache(maxsize=None)
+def position_table(max_len: int, d_model: int) -> np.ndarray:
+    """The sinusoidal position table of one shape, built once and read-only."""
+    table = positional_encoding(max_len, d_model)
+    table.flags.writeable = False
+    return table
+
+
+def _source_mask(src, pad_id):
+    if pad_id is None:
+        return np.ones((src.shape[0], 1, 1, src.shape[1]), dtype=bool)
+    return padding_mask(src, pad_id)
+
+
+def _encoder_stack(params, config, src, src_mask, tape=None, train=False, rng=None):
+    """Encoder memory (B, T_src, D); dropout only when ``train`` is set."""
+    p = config.dropout
+    scale = np.sqrt(config.d_model)
+    x = params["src_embed"][src] * scale + position_table(config.max_len, config.d_model)[: src.shape[1]]
+    x = _dropout_fwd(x, p, train, rng, tape, "drop.src_embed")
+    for i in range(config.n_encoder_layers):
+        a = _mha_fwd(params, f"enc{i}.att", x, x, x, src_mask, tape)
+        a = _dropout_fwd(a, p, train, rng, tape, f"drop.enc{i}.att")
+        x = _ln_fwd(params, f"enc{i}.ln1", x + a, tape)
+        f = _ff_fwd(params, f"enc{i}.ff", x, tape)
+        f = _dropout_fwd(f, p, train, rng, tape, f"drop.enc{i}.ff")
+        x = _ln_fwd(params, f"enc{i}.ln2", x + f, tape)
+    return x
+
+
 def forward_with_tape(
     params: Parameters,
     config: ModelConfig,
@@ -230,28 +296,17 @@ def forward_with_tape(
     if src.shape[0] != tgt.shape[0]:
         raise ValueError("src and tgt batch sizes differ")
     p = config.dropout
-    pe = positional_encoding(config.max_len, config.d_model)
+    pe = position_table(config.max_len, config.d_model)
     scale = np.sqrt(config.d_model)
     tape: dict = {"src": src, "tgt": tgt, "scale": scale}
 
-    if pad_id is None:
-        src_mask = np.ones((src.shape[0], 1, 1, src.shape[1]), dtype=bool)
-        tgt_mask = causal_mask(tgt.shape[1])[None, None]
-    else:
-        src_mask = padding_mask(src, pad_id)
-        tgt_mask = causal_mask(tgt.shape[1])[None, None] & padding_mask(tgt, pad_id)
+    src_mask = _source_mask(src, pad_id)
+    tgt_mask = causal_mask(tgt.shape[1])[None, None]
+    if pad_id is not None:
+        tgt_mask = tgt_mask & padding_mask(tgt, pad_id)
     tape["src_mask"] = src_mask
 
-    x = params["src_embed"][src] * scale + pe[: src.shape[1]]
-    x = _dropout_fwd(x, p, train, rng, tape, "drop.src_embed")
-    for i in range(config.n_encoder_layers):
-        a = _mha_fwd(params, f"enc{i}.att", x, x, x, src_mask, tape)
-        a = _dropout_fwd(a, p, train, rng, tape, f"drop.enc{i}.att")
-        x = _ln_fwd(params, f"enc{i}.ln1", x + a, tape)
-        f = _ff_fwd(params, f"enc{i}.ff", x, tape)
-        f = _dropout_fwd(f, p, train, rng, tape, f"drop.enc{i}.ff")
-        x = _ln_fwd(params, f"enc{i}.ln2", x + f, tape)
-    memory = x
+    memory = _encoder_stack(params, config, src, src_mask, tape, train, rng)
 
     y = params["tgt_embed"][tgt] * scale + pe[: tgt.shape[1]]
     y = _dropout_fwd(y, p, train, rng, tape, "drop.tgt_embed")
@@ -363,37 +418,93 @@ def backward(
 def encode(params: Parameters, config: ModelConfig, src_ids, pad_id: int | None = 0):
     """Encoder memory and source mask for incremental decoding."""
     src = _check_batch("src_ids", np.atleast_2d(np.asarray(src_ids)), config.max_len)
-    pe = positional_encoding(config.max_len, config.d_model)
-    scale = np.sqrt(config.d_model)
-    tape: dict = {}
-    if pad_id is None:
-        src_mask = np.ones((src.shape[0], 1, 1, src.shape[1]), dtype=bool)
-    else:
-        src_mask = padding_mask(src, pad_id)
-    x = params["src_embed"][src] * scale + pe[: src.shape[1]]
-    for i in range(config.n_encoder_layers):
-        a = _mha_fwd(params, f"enc{i}.att", x, x, x, src_mask, tape)
-        x = _ln_fwd(params, f"enc{i}.ln1", x + a, tape)
-        f = _ff_fwd(params, f"enc{i}.ff", x, tape)
-        x = _ln_fwd(params, f"enc{i}.ln2", x + f, tape)
-    return x, src_mask
+    src_mask = _source_mask(src, pad_id)
+    return _encoder_stack(params, config, src, src_mask), src_mask
+
+
+class DecoderCache:
+    """What incremental decoding keeps between steps, one row per sequence.
+
+    ``cross`` holds each decoder layer's cross-attention keys and values,
+    projected once from the encoder memory; a batch of one serves every row
+    and is never gathered. ``keys`` and ``values`` hold each layer's
+    self-attention keys and values for the positions decoded so far, and
+    ``key_ok`` (B, T) marks which of those positions may be attended to.
+    """
+
+    def __init__(self, cross, src_mask, keys, values, key_ok):
+        self.cross = cross
+        self.src_mask = src_mask
+        self.keys = keys
+        self.values = values
+        self.key_ok = key_ok
+
+    @property
+    def length(self) -> int:
+        return self.key_ok.shape[1]
+
+    def select(self, rows) -> "DecoderCache":
+        """The cache of ``rows`` in that order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+
+        def take(a):
+            return a if a.shape[0] == 1 else a[rows]
+
+        return DecoderCache(
+            [(take(k), take(v)) for k, v in self.cross],
+            take(self.src_mask),
+            [k[rows] for k in self.keys],
+            [v[rows] for v in self.values],
+            self.key_ok[rows],
+        )
+
+
+def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, batch: int | None = None) -> DecoderCache:
+    """An empty cache for ``batch`` rows (default: one per memory row)."""
+    batch = memory.shape[0] if batch is None else batch
+    n = config.n_decoder_layers
+    cross = [
+        (_project_heads(memory, params[f"dec{i}.cross.w_k"]), _project_heads(memory, params[f"dec{i}.cross.w_v"]))
+        for i in range(n)
+    ]
+    empty = np.empty((batch, config.n_heads, 0, config.d_k))
+    return DecoderCache(cross, src_mask, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
+
+
+def decode_step(params: Parameters, config: ModelConfig, cache: DecoderCache, token_ids, pad_id: int | None = 0):
+    """Logits (B, V) for one new token per row at the next position.
+
+    Appends the token's self-attention keys and values to ``cache``. A key
+    whose token is ``pad_id`` is never attended to, as in a full forward.
+    """
+    tokens = np.asarray(token_ids, dtype=np.int64).reshape(-1)
+    t = cache.length
+    if t >= config.max_len:
+        raise ValueError(f"tgt_in_ids length {t + 1} exceeds max_len {config.max_len}")
+    ok = np.ones(tokens.shape, dtype=bool) if pad_id is None else tokens != pad_id
+    cache.key_ok = np.concatenate([cache.key_ok, ok[:, None]], axis=1)
+    self_mask = cache.key_ok[:, None, None, :]
+    pe = position_table(config.max_len, config.d_model)
+    y = (params["tgt_embed"][tokens] * np.sqrt(config.d_model) + pe[t])[:, None, :]
+    for i in range(config.n_decoder_layers):
+        prefix = f"dec{i}.self"
+        q = _project_heads(y, params[f"{prefix}.w_q"])
+        cache.keys[i] = np.concatenate([cache.keys[i], _project_heads(y, params[f"{prefix}.w_k"])], axis=2)
+        cache.values[i] = np.concatenate([cache.values[i], _project_heads(y, params[f"{prefix}.w_v"])], axis=2)
+        a, _, _ = _attend(params, prefix, q, cache.keys[i], cache.values[i], self_mask)
+        y = _ln_fwd(params, f"dec{i}.ln1", y + a)
+        k, v = cache.cross[i]
+        q = _project_heads(y, params[f"dec{i}.cross.w_q"])
+        c, _, _ = _attend(params, f"dec{i}.cross", q, k, v, cache.src_mask)
+        y = _ln_fwd(params, f"dec{i}.ln2", y + c)
+        f = _ff_fwd(params, f"dec{i}.ff", y)
+        y = _ln_fwd(params, f"dec{i}.ln3", y + f)
+    return (_mm(y, params["out.w"]) + params["out.b"])[:, 0]
 
 
 def decode_logits(params: Parameters, config: ModelConfig, memory, src_mask, tgt_in_ids, pad_id: int | None = 0):
-    """Logits (B, T_tgt, V) for a target prefix against precomputed memory."""
+    """Logits (B, T_tgt, V) for target prefixes, decoded one position at a time."""
     tgt = _check_batch("tgt_in_ids", np.atleast_2d(np.asarray(tgt_in_ids)), config.max_len)
-    pe = positional_encoding(config.max_len, config.d_model)
-    scale = np.sqrt(config.d_model)
-    tape: dict = {}
-    tgt_mask = causal_mask(tgt.shape[1])[None, None]
-    if pad_id is not None:
-        tgt_mask = tgt_mask & padding_mask(tgt, pad_id)
-    y = params["tgt_embed"][tgt] * scale + pe[: tgt.shape[1]]
-    for i in range(config.n_decoder_layers):
-        a = _mha_fwd(params, f"dec{i}.self", y, y, y, tgt_mask, tape)
-        y = _ln_fwd(params, f"dec{i}.ln1", y + a, tape)
-        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, src_mask, tape)
-        y = _ln_fwd(params, f"dec{i}.ln2", y + c, tape)
-        f = _ff_fwd(params, f"dec{i}.ff", y, tape)
-        y = _ln_fwd(params, f"dec{i}.ln3", y + f, tape)
-    return _mm(y, params["out.w"]) + params["out.b"]
+    cache = start_decoding(params, config, memory, src_mask, batch=tgt.shape[0])
+    steps = [decode_step(params, config, cache, tgt[:, t], pad_id=pad_id) for t in range(tgt.shape[1])]
+    return np.stack(steps, axis=1)

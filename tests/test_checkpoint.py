@@ -1,13 +1,15 @@
 """Checkpoint format tests: round-trips, byte stability, corruption."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from mwp.cli import main
 from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mwp.model.config import ModelConfig
-from mwp.model.network import init_parameters
+from mwp.model.network import init_parameters, parameter_shapes
 from mwp.preprocess import Vocab
 
 CONFIG = ModelConfig(src_vocab_size=10, tgt_vocab_size=9, d_model=8, n_heads=2,
@@ -124,3 +126,106 @@ def test_vocab_missing_reserved_prefix_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.ckpt")
+
+
+# --- metadata checks -----------------------------------------------------------
+
+
+def read_meta(path):
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    return json.loads(data[start : start + meta_len]), data[start + meta_len :]
+
+
+def write_raw(path, meta, payload=b""):
+    """A checkpoint with a valid magic and length around arbitrary metadata."""
+    blob = json.dumps(meta).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+def assert_solve_exits_3(path, capsys):
+    assert main(["solve", "--checkpoint", str(path), "x"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+def test_parameter_shapes_match_init_parameters():
+    params = init_parameters(CONFIG, np.random.default_rng(0))
+    assert list(parameter_shapes(CONFIG)) == list(params)
+    assert parameter_shapes(CONFIG) == {k: v.shape for k, v in params.items()}
+
+
+def test_metadata_without_model_keys_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.ckpt"
+    write_raw(path, {"version": 1})
+    with pytest.raises(ValueError, match="lacks model_config, src_vocab, tgt_vocab, tensors"):
+        load_checkpoint(path)
+    assert_solve_exits_3(path, capsys)
+
+
+def test_empty_tensor_list_exits_3(tmp_path, capsys):
+    path, _, _, _ = make_checkpoint(tmp_path)
+    meta, _ = read_meta(path)
+    meta["tensors"] = []
+    write_raw(path, meta)
+    with pytest.raises(ValueError, match="tensors do not match"):
+        load_checkpoint(path)
+    assert_solve_exits_3(path, capsys)
+
+
+def test_tensor_shape_mismatch_rejected(tmp_path):
+    path, _, _, _ = make_checkpoint(tmp_path)
+    meta, payload = read_meta(path)
+    entry = next(e for e in meta["tensors"] if e["key"] == "out.w")
+    entry["shape"] = entry["shape"][::-1]  # same byte count, wrong layout
+    write_raw(path, meta, payload)
+    with pytest.raises(ValueError, match=r"wrong shape \['out.w'\]"):
+        load_checkpoint(path)
+
+
+def test_unknown_tensor_name_rejected(tmp_path):
+    path, _, _, _ = make_checkpoint(tmp_path)
+    meta, payload = read_meta(path)
+    meta["tensors"][0]["key"] = "enc9.att.w_q"
+    write_raw(path, meta, payload)
+    with pytest.raises(ValueError, match="unexpected"):
+        load_checkpoint(path)
+
+
+def test_vocab_size_must_match_config(tmp_path):
+    path, _, _, _ = make_checkpoint(tmp_path)
+    meta, payload = read_meta(path)
+    meta["tgt_vocab"].append("-")
+    write_raw(path, meta, payload)
+    with pytest.raises(ValueError, match="tgt_vocab has 10 tokens, the model config 9"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda m: m.update(model_config={"d_model": 8}),
+        lambda m: m.update(model_config=[1, 2]),
+        lambda m: m.update(src_vocab="abc"),
+        lambda m: m.update(tensors=[{"shape": [2]}]),
+        lambda m: m.update(tensors=[{"key": ["x"], "shape": [2]}]),
+        lambda m: m.update(extra=[]),
+    ],
+    ids=["partial-config", "config-not-object", "vocab-not-list", "entry-without-key", "unhashable-key", "extra-not-object"],
+)
+def test_malformed_metadata_exits_3(tmp_path, capsys, change):
+    path, _, _, _ = make_checkpoint(tmp_path)
+    meta, payload = read_meta(path)
+    change(meta)
+    write_raw(path, meta, payload)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+    assert_solve_exits_3(path, capsys)
+
+
+def test_metadata_that_is_not_an_object_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.ckpt"
+    write_raw(path, [1])
+    assert_solve_exits_3(path, capsys)

@@ -1,6 +1,8 @@
 """Command-line pipeline tests, run in process through main(argv)."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -207,6 +209,28 @@ def test_solve_unparseable_equation_is_data_error(capsys):
 def test_solve_requires_exactly_one_input(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "some problem", "--equation", "x = 1"]) == 2
+
+
+class ClosedPipe:
+    """A standard output whose reader has gone away, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_a_runtime_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["solve", "--equation", "x = 1 + 2"]) == 4
+    redirected = sys.stdout
+    assert redirected.name == os.devnull
+    redirected.close()
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: standard output closed")
+    assert len(err.strip().splitlines()) == 1
+    assert "data error" not in err
 
 
 # --- train and eval ----------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Decoding tests: greedy/beam agreement, stopping, determinism."""
+"""Decoding tests: greedy/beam agreement, stopping, determinism, and the
+cached decoders against naive full-prefix references."""
+
+import functools
 
 import numpy as np
 import pytest
 
 from mwp.model.config import ModelConfig, TrainConfig
-from mwp.model.decoding import beam_decode, greedy_decode
-from mwp.model.network import init_parameters
+from mwp.model.decoding import GREEDY_CHUNK_SIZE, beam_decode, greedy_decode, greedy_decode_batch
+from mwp.model.network import decode_logits, encode, forward, init_parameters, position_table
 from mwp.model.training import prepare_pairs, train
-from mwp.preprocess import BOS_ID, EOS_ID, build_vocab, tokenize
+from mwp.preprocess import BOS_ID, EOS_ID, PAD_ID, build_vocab, tokenize
 from mwp.synth import generate_synthetic
 
 SMALL = dict(d_model=16, n_heads=2, d_ff=32, n_encoder_layers=1, n_decoder_layers=1,
@@ -20,6 +23,7 @@ def random_setup(seed, src_vocab=11, tgt_vocab=9):
     return params, config
 
 
+@functools.lru_cache(maxsize=1)
 def overfit_setup():
     """A tiny model trained to reproduce three synthetic equations exactly."""
     records = generate_synthetic(3, seed=2)
@@ -129,3 +133,145 @@ def test_beam_agrees_with_greedy_on_trained_model():
         want = tgt[1:-1]
         for beam_size in (1, 2, 4):
             assert beam_decode(params, config, src, beam_size=beam_size) == want
+
+
+# --- cached decoders against naive full-prefix references ---------------------------
+# The references re-run the whole decoder over the prefix at every step, the
+# way decoding worked before the key/value cache: greedy through ``forward``
+# (the training stack) and beam through ``encode`` plus ``decode_logits``
+# over the repeated memory.
+
+
+def reference_greedy(params, config, src, max_steps=None):
+    limit = config.max_len - 1 if max_steps is None else max_steps
+    seq = [BOS_ID]
+    for _ in range(limit):
+        logits = forward(params, config, np.array([src]), np.array([seq]))
+        next_id = int(np.argmax(logits[0, -1]))
+        if next_id == EOS_ID:
+            break
+        seq.append(next_id)
+    return seq[1:]
+
+
+def reference_beam(params, config, src, beam_size, max_steps=None):
+    memory, src_mask = encode(params, config, np.array([src]))
+    limit = config.max_len - 1 if max_steps is None else max_steps
+    beams = [((BOS_ID,), 0.0, False)]
+    for _ in range(limit):
+        live = [h for h in beams if not h[2]]
+        if not live:
+            break
+        logits = decode_logits(
+            params, config, np.repeat(memory, len(live), axis=0), np.repeat(src_mask, len(live), axis=0),
+            np.array([h[0] for h in live]),
+        )
+        candidates = [h for h in beams if h[2]]
+        for row, (tokens, score, _) in enumerate(live):
+            shifted = logits[row, -1] - logits[row, -1].max()
+            logp = shifted - np.log(np.exp(shifted).sum())
+            for token in np.argsort(-logp, kind="stable")[: beam_size + 1]:
+                token = int(token)
+                if token == EOS_ID:
+                    candidates.append((tokens, score + float(logp[token]), True))
+                else:
+                    candidates.append((tokens + (token,), score + float(logp[token]), False))
+        candidates.sort(key=lambda h: (-h[1], h[0]))
+        beams = candidates[:beam_size]
+        if all(h[2] for h in beams):
+            break
+
+    def final_score(h):
+        return h[1] / max(len(h[0]) - 1 + (1 if h[2] else 0), 1)
+
+    return list(min(beams, key=lambda h: (-final_score(h), h[0]))[0][1:])
+
+
+def mixed_sources(seed, n, vocab=11):
+    """``n`` sources of lengths 1..12 with ids from 3 up, so none is PAD."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(n):
+        src = rng.integers(3, vocab, size=int(rng.integers(1, 13))).tolist()
+        sources.append(src)
+    return sources
+
+
+@pytest.mark.parametrize("n", [1, GREEDY_CHUNK_SIZE, GREEDY_CHUNK_SIZE + 1, 2 * GREEDY_CHUNK_SIZE + 3])
+def test_batched_greedy_matches_reference_on_random_models(n):
+    # n = chunk + 1 leaves a one-record chunk; 2 chunks + 3 crosses two boundaries
+    for seed in range(3):
+        params, config = random_setup(100 + seed)
+        sources = mixed_sources(seed, n)
+        want = [reference_greedy(params, config, src) for src in sources]
+        assert greedy_decode_batch(params, config, sources) == want
+        assert [greedy_decode(params, config, src) for src in sources] == want
+
+
+def test_batched_greedy_matches_reference_with_step_limit():
+    params, config = random_setup(110)
+    sources = mixed_sources(7, GREEDY_CHUNK_SIZE + 2)
+    for max_steps in (0, 1, 3):
+        want = [reference_greedy(params, config, src, max_steps) for src in sources]
+        assert greedy_decode_batch(params, config, sources, max_steps=max_steps) == want
+
+
+def test_batched_greedy_masks_generated_pad_tokens():
+    # a bias toward PAD makes the decoder feed PAD back in; those positions
+    # must stay hidden from attention, as they are in a full forward
+    params, config = random_setup(111)
+    params["out.b"][PAD_ID] = 1.0
+    sources = mixed_sources(8, GREEDY_CHUNK_SIZE + 1)
+    got = greedy_decode_batch(params, config, sources, max_steps=12)
+    assert got == [reference_greedy(params, config, src, 12) for src in sources]
+    # some record goes on to a real token after feeding PAD back in
+    assert any(PAD_ID in ids and set(ids[ids.index(PAD_ID):]) - {PAD_ID} for ids in got)
+
+
+def test_batched_greedy_all_zero_params_emits_pad():
+    params, config = random_setup(112)
+    params = {k: np.zeros_like(v) for k, v in params.items()}
+    sources = mixed_sources(9, GREEDY_CHUNK_SIZE + 1)
+    got = greedy_decode_batch(params, config, sources, max_steps=6)
+    assert got == [reference_greedy(params, config, src, 6) for src in sources] == [[PAD_ID] * 6] * len(sources)
+
+
+def test_batched_greedy_matches_reference_on_trained_model():
+    params, config, pairs = overfit_setup()
+    sources = [src for src, _ in pairs] * 3
+    want = [reference_greedy(params, config, src) for src in sources]
+    assert greedy_decode_batch(params, config, sources) == want == [tgt[1:-1] for _, tgt in pairs] * 3
+
+
+def test_batched_greedy_rejects_empty_and_overlong_sources():
+    params, config = random_setup(113)
+    assert greedy_decode_batch(params, config, []) == []
+    with pytest.raises(ValueError, match="zero time steps"):
+        greedy_decode_batch(params, config, [[5, 6], []])
+    with pytest.raises(ValueError, match="max_len"):
+        greedy_decode_batch(params, config, [[5] * (config.max_len + 1)])
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 4])
+def test_cached_beam_matches_reference_on_random_models(beam_size):
+    for seed in range(4):
+        params, config = random_setup(120 + seed)
+        for src in mixed_sources(seed, 3):
+            assert beam_decode(params, config, src, beam_size=beam_size) == reference_beam(params, config, src, beam_size)
+            assert beam_decode(params, config, src, beam_size=beam_size, max_steps=3) == (
+                reference_beam(params, config, src, beam_size, max_steps=3))
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 4])
+def test_cached_beam_matches_reference_on_trained_model(beam_size):
+    params, config, pairs = overfit_setup()
+    for src, _ in pairs:
+        assert beam_decode(params, config, src, beam_size=beam_size) == reference_beam(params, config, src, beam_size)
+
+
+def test_position_table_is_cached_and_read_only():
+    table = position_table(32, 16)
+    assert position_table(32, 16) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
