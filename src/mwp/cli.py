@@ -331,6 +331,15 @@ def _run_grid_cell(config_path: str | None, seed: int | None, batch_size: int, e
     return row
 
 
+def _grid_workers(cells: int) -> int:
+    """One process per cell, at most one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cells, cpus)
+
+
 def cmd_grid(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
@@ -341,7 +350,7 @@ def cmd_grid(args) -> int:
     cells = [(b, e) for b in cfg.grid_batch_sizes for e in cfg.grid_epochs]
     parallel = cfg.grid_parallel or args.parallel
     if parallel:
-        with ProcessPoolExecutor(max_workers=min(len(cells), 6)) as pool:
+        with ProcessPoolExecutor(max_workers=_grid_workers(len(cells))) as pool:
             rows = list(
                 pool.map(_run_grid_cell, *zip(*[(args.config, cfg.seed, b, e) for b, e in cells]))
             )

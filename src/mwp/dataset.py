@@ -251,6 +251,8 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> list[MwpRecord]:
                 raise DatasetError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(obj, dict) or "problem" not in obj or "equation" not in obj:
                 raise DatasetError("object must have 'problem' and 'equation' keys", line=lineno)
+            if not isinstance(obj["problem"], str) or not isinstance(obj["equation"], str):
+                raise DatasetError("'problem' and 'equation' must be strings", line=lineno)
             rec_id = str(obj.get("id", lineno))
             answer = None
             if obj.get("answer") is not None:
@@ -258,7 +260,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> list[MwpRecord]:
                     answer = _parse_answer(obj["answer"])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise DatasetError(f"bad answer: {exc}", line=lineno) from exc
-            rec = MwpRecord(rec_id, str(obj["problem"]), str(obj["equation"]), answer)
+            rec = MwpRecord(rec_id, obj["problem"], obj["equation"], answer)
         else:
             cols = line.split("\t")
             if len(cols) != 2:

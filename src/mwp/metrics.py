@@ -129,11 +129,21 @@ class PairVerdict:
     reference_value: Fraction
 
 
-def _solve_or_none(text: str) -> Fraction | None:
+def _judge(predicted: str, ref_value: Fraction, tol: Fraction) -> tuple[str, equation.Equation | None, Fraction | None]:
+    """Parse a prediction once: its verdict, parsed equation and value.
+
+    A prediction that parses but divides by zero is ``unparseable`` and
+    keeps its parsed equation.
+    """
     try:
-        return equation.solve(equation.parse_equation(text))
-    except equation.EquationError:
-        return None
+        parsed = equation.parse_equation(predicted)
+    except equation.ParseError:
+        return UNPARSEABLE, None, None
+    try:
+        value = equation.solve(parsed)
+    except equation.DivisionByZero:
+        return UNPARSEABLE, parsed, None
+    return (CORRECT if abs(value - ref_value) <= tol else WRONG), parsed, value
 
 
 def solution_accuracy(
@@ -157,15 +167,9 @@ def solution_accuracy(
             ref_value = equation.solve(equation.parse_equation(reference))
         except equation.EquationError as exc:
             raise ValueError(f"reference equation {i} does not solve: {exc}") from exc
-        pred_value = _solve_or_none(predicted)
-        if pred_value is None:
-            verdicts.append(PairVerdict(UNPARSEABLE, None, ref_value))
-            continue
-        if abs(pred_value - ref_value) <= tol:
-            verdicts.append(PairVerdict(CORRECT, pred_value, ref_value))
-            correct += 1
-        else:
-            verdicts.append(PairVerdict(WRONG, pred_value, ref_value))
+        verdict, _, pred_value = _judge(predicted, ref_value, tol)
+        verdicts.append(PairVerdict(verdict, pred_value, ref_value))
+        correct += verdict == CORRECT
     return correct / len(pairs) if pairs else 0.0, verdicts
 
 
@@ -212,13 +216,6 @@ class EvalReport:
         }
 
 
-def _canonical_or_raw(text: str) -> tuple[str, bool]:
-    try:
-        return equation.to_canonical_string(equation.parse_equation(text)), True
-    except equation.ParseError:
-        return text, False
-
-
 def evaluate_corpus(
     predictions: Sequence[str],
     records: Sequence,
@@ -242,6 +239,7 @@ def evaluate_corpus(
     # sentence score and the pooled corpus score
     tallies: list[tuple[list[tuple[int, int]], int, int]] = []
     correct = 0
+    tol = Fraction(tolerance)
     for pred, rec in zip(predictions, records):
         try:
             ref_eq = equation.parse_equation(rec.equation_text)
@@ -253,19 +251,11 @@ def evaluate_corpus(
         except equation.DivisionByZero as exc:
             raise ValueError(f"record {rec.id!r}: reference equation does not solve: {exc}") from exc
 
-        pred_canon, _ = _canonical_or_raw(pred)
-        cand_tokens = tokenize(pred_canon).tokens
+        verdict, pred_eq, pred_value = _judge(pred, ref_value, tol)
+        correct += verdict == CORRECT
+        cand_tokens = tokenize(pred if pred_eq is None else equation.to_canonical_string(pred_eq)).tokens
         ref_tokens = tokenize(ref_canon).tokens
         tallies.append((_match_counts(cand_tokens, ref_tokens, max_n), len(cand_tokens), len(ref_tokens)))
-
-        pred_value = _solve_or_none(pred)
-        if pred_value is None:
-            verdict = UNPARSEABLE
-        elif abs(pred_value - ref_value) <= Fraction(tolerance):
-            verdict = CORRECT
-            correct += 1
-        else:
-            verdict = WRONG
         results.append(
             RecordResult(
                 id=rec.id,

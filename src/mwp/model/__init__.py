@@ -1,14 +1,6 @@
 """Numpy transformer: attention, training, decoding, checkpoints."""
 
-from .attention import (
-    AttentionOutput,
-    causal_mask,
-    masked_softmax,
-    multi_head_attention,
-    padding_mask,
-    positional_encoding,
-    scaled_dot_attention,
-)
+from .attention import causal_mask, masked_softmax, padding_mask, positional_encoding
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
 from .decoding import beam_decode, greedy_decode, greedy_decode_batch
@@ -35,7 +27,6 @@ from .training import (
 
 __all__ = [
     "AdamState",
-    "AttentionOutput",
     "Checkpoint",
     "EpochStats",
     "FilePredictions",
@@ -63,12 +54,10 @@ __all__ = [
     "init_parameters",
     "load_checkpoint",
     "masked_softmax",
-    "multi_head_attention",
     "pad_batch",
     "padding_mask",
     "positional_encoding",
     "prepare_pairs",
     "save_checkpoint",
-    "scaled_dot_attention",
     "train",
 ]

@@ -1,22 +1,18 @@
-"""Attention primitives: masked softmax, scaled dot-product, multi-head.
+"""Attention primitives: masked softmax and its gradient, the sinusoidal
+position table, and causal and padding masks.
 
-All arrays are float64 and batch-first. Masks are boolean with True meaning
-"may attend"; they broadcast against the score shape. A row whose mask is
-all False gets all-zero weights and an all-zero output row rather than NaN,
-so padding-only rows stay inert through the rest of the network.
+The attention core itself (scaled dot-product over projected heads, then the
+output projection) lives in ``network._attend``, shared by training and
+decoding. All arrays are float64 and batch-first. Masks are boolean with
+True meaning "may attend"; they broadcast against the score shape. A row
+whose mask is all False gets all-zero weights, and so an all-zero attention
+output, rather than NaN, so padding-only rows stay inert through the rest
+of the network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AttentionOutput:
-    output: np.ndarray
-    weights: np.ndarray
 
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -36,48 +32,6 @@ def softmax_backward(d_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient through (masked) softmax given weights from the forward pass."""
     inner = (d_weights * weights).sum(axis=-1, keepdims=True)
     return weights * (d_weights - inner)
-
-
-def scaled_dot_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> AttentionOutput:
-    """softmax(q kᵀ / sqrt(d_k)) v over the trailing two axes.
-
-    q is (..., T_q, d_k), k is (..., T_k, d_k), v is (..., T_k, d_v); the
-    returned output is (..., T_q, d_v) and weights are (..., T_q, T_k).
-    """
-    d_k = q.shape[-1]
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(d_k)
-    weights = masked_softmax(scores, mask)
-    return AttentionOutput(output=weights @ v, weights=weights)
-
-
-def multi_head_attention(
-    query: np.ndarray,
-    key: np.ndarray,
-    value: np.ndarray,
-    w_q: np.ndarray,
-    w_k: np.ndarray,
-    w_v: np.ndarray,
-    w_o: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> AttentionOutput:
-    """Multi-head attention with per-head projections and a shared output map.
-
-    query/key/value are (B, T, d_model); w_q, w_k and w_v are (H, d_model,
-    d_k) and w_o is (H * d_k, d_model). Weights come back per head as
-    (B, H, T_q, T_k).
-    """
-    q = np.einsum("btd,hdk->bhtk", query, w_q)
-    k = np.einsum("btd,hdk->bhtk", key, w_k)
-    v = np.einsum("btd,hdk->bhtk", value, w_v)
-    att = scaled_dot_attention(q, k, v, mask=mask)
-    b, h, t_q, d_k = att.output.shape
-    concat = att.output.transpose(0, 2, 1, 3).reshape(b, t_q, h * d_k)
-    return AttentionOutput(output=concat @ w_o, weights=att.weights)
 
 
 def positional_encoding(max_len: int, d_model: int) -> np.ndarray:

@@ -52,7 +52,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     clip_norm: float | None = None
-    log_every: int = 0  # epochs between progress lines; 0 silences logging
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -65,10 +64,3 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)

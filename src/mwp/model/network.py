@@ -16,11 +16,12 @@ Token embeddings are scaled by sqrt(d_model) before the sinusoidal position
 table is added, and the final projection to vocabulary logits is a plain
 affine map from the decoder output.
 
-Inference keeps no tape. ``encode`` runs the encoder once per source, and
-``decode_step`` advances the decoder by one position per row against a
-``DecoderCache``: the cross-attention keys and values are projected once
-from the encoder memory, and each step appends its self-attention keys and
-values, so no step re-runs the decoder over the prefix.
+One encoder stack and one decoder block serve training and inference. The
+block runs T new target positions per row against a ``DecoderCache``, which
+holds cross-attention keys and values projected once from the encoder
+memory and gains each call's self-attention keys and values.
+``forward_with_tape`` runs it once over the whole target with a tape,
+``decode_logits`` once over a prefix, and ``decode_step`` once per position.
 """
 
 from __future__ import annotations
@@ -187,10 +188,12 @@ def _attend(params, prefix, q, k, v, mask):
     return _mm(concat, params[f"{prefix}.w_o"]), weights, concat
 
 
-def _mha_fwd(params, prefix, query, key, value, mask, tape=None):
+def _mha_fwd(params, prefix, query, key, value, mask, tape=None, kv=None):
+    """Attention of ``query`` over ``key``/``value``; ``kv`` is their projection if already made."""
     q = _project_heads(query, params[f"{prefix}.w_q"])
-    k = _project_heads(key, params[f"{prefix}.w_k"])
-    v = _project_heads(value, params[f"{prefix}.w_v"])
+    if kv is None:
+        kv = _project_heads(key, params[f"{prefix}.w_k"]), _project_heads(value, params[f"{prefix}.w_v"])
+    k, v = kv
     out, weights, concat = _attend(params, prefix, q, k, v, mask)
     if tape is not None:
         tape[prefix] = (query, key, value, q, k, v, weights, concat)
@@ -295,33 +298,11 @@ def forward_with_tape(
     tgt = _check_batch("tgt_in_ids", tgt_in_ids, config.max_len)
     if src.shape[0] != tgt.shape[0]:
         raise ValueError("src and tgt batch sizes differ")
-    p = config.dropout
-    pe = position_table(config.max_len, config.d_model)
-    scale = np.sqrt(config.d_model)
-    tape: dict = {"src": src, "tgt": tgt, "scale": scale}
-
+    tape: dict = {"src": src, "tgt": tgt, "scale": np.sqrt(config.d_model)}
     src_mask = _source_mask(src, pad_id)
-    tgt_mask = causal_mask(tgt.shape[1])[None, None]
-    if pad_id is not None:
-        tgt_mask = tgt_mask & padding_mask(tgt, pad_id)
-    tape["src_mask"] = src_mask
-
     memory = _encoder_stack(params, config, src, src_mask, tape, train, rng)
-
-    y = params["tgt_embed"][tgt] * scale + pe[: tgt.shape[1]]
-    y = _dropout_fwd(y, p, train, rng, tape, "drop.tgt_embed")
-    for i in range(config.n_decoder_layers):
-        a = _mha_fwd(params, f"dec{i}.self", y, y, y, tgt_mask, tape)
-        a = _dropout_fwd(a, p, train, rng, tape, f"drop.dec{i}.self")
-        y = _ln_fwd(params, f"dec{i}.ln1", y + a, tape)
-        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, src_mask, tape)
-        c = _dropout_fwd(c, p, train, rng, tape, f"drop.dec{i}.cross")
-        y = _ln_fwd(params, f"dec{i}.ln2", y + c, tape)
-        f = _ff_fwd(params, f"dec{i}.ff", y, tape)
-        f = _dropout_fwd(f, p, train, rng, tape, f"drop.dec{i}.ff")
-        y = _ln_fwd(params, f"dec{i}.ln3", y + f, tape)
-    tape["dec_out"] = y
-    return _mm(y, params["out.w"]) + params["out.b"], tape
+    cache = start_decoding(params, config, memory, src_mask)
+    return _decoder_block(params, config, cache, tgt, pad_id, memory, tape, train, rng), tape
 
 
 def forward(params: Parameters, config: ModelConfig, src_ids, tgt_in_ids, pad_id: int | None = 0) -> np.ndarray:
@@ -471,40 +452,56 @@ def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, ba
     return DecoderCache(cross, src_mask, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
 
 
+def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, train=False, rng=None):
+    """Logits (B, T, V) for T new target positions per row, after ``cache``.
+
+    Appends the positions' self-attention keys and values to ``cache``. A
+    position attends to the cached ones, itself and earlier new ones, but
+    never to a key whose token is ``pad_id``. Only the tape needs ``memory``,
+    which ``cache.cross`` was projected from.
+    """
+    t0, t = cache.length, tgt.shape[1]
+    if t0 + t > config.max_len:
+        raise ValueError(f"tgt_in_ids length {t0 + t} exceeds max_len {config.max_len}")
+    ok = np.ones(tgt.shape, dtype=bool) if pad_id is None else tgt != pad_id
+    cache.key_ok = np.concatenate([cache.key_ok, ok], axis=1)
+    self_mask = cache.key_ok[:, None, None, :]
+    if t > 1:  # one new position may attend to every key
+        self_mask = self_mask & causal_mask(t0 + t)[t0:]
+    p = config.dropout
+    pe = position_table(config.max_len, config.d_model)
+    y = params["tgt_embed"][tgt] * np.sqrt(config.d_model) + pe[t0 : t0 + t]
+    y = _dropout_fwd(y, p, train, rng, tape, "drop.tgt_embed")
+    for i in range(config.n_decoder_layers):
+        prefix = f"dec{i}.self"
+        cache.keys[i] = np.concatenate([cache.keys[i], _project_heads(y, params[f"{prefix}.w_k"])], axis=2)
+        cache.values[i] = np.concatenate([cache.values[i], _project_heads(y, params[f"{prefix}.w_v"])], axis=2)
+        a = _mha_fwd(params, prefix, y, y, y, self_mask, tape, kv=(cache.keys[i], cache.values[i]))
+        a = _dropout_fwd(a, p, train, rng, tape, f"drop.{prefix}")
+        y = _ln_fwd(params, f"dec{i}.ln1", y + a, tape)
+        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, cache.src_mask, tape, kv=cache.cross[i])
+        c = _dropout_fwd(c, p, train, rng, tape, f"drop.dec{i}.cross")
+        y = _ln_fwd(params, f"dec{i}.ln2", y + c, tape)
+        f = _ff_fwd(params, f"dec{i}.ff", y, tape)
+        f = _dropout_fwd(f, p, train, rng, tape, f"drop.dec{i}.ff")
+        y = _ln_fwd(params, f"dec{i}.ln3", y + f, tape)
+    if tape is not None:
+        tape["dec_out"] = y
+    return _mm(y, params["out.w"]) + params["out.b"]
+
+
 def decode_step(params: Parameters, config: ModelConfig, cache: DecoderCache, token_ids, pad_id: int | None = 0):
     """Logits (B, V) for one new token per row at the next position.
 
     Appends the token's self-attention keys and values to ``cache``. A key
     whose token is ``pad_id`` is never attended to, as in a full forward.
     """
-    tokens = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-    t = cache.length
-    if t >= config.max_len:
-        raise ValueError(f"tgt_in_ids length {t + 1} exceeds max_len {config.max_len}")
-    ok = np.ones(tokens.shape, dtype=bool) if pad_id is None else tokens != pad_id
-    cache.key_ok = np.concatenate([cache.key_ok, ok[:, None]], axis=1)
-    self_mask = cache.key_ok[:, None, None, :]
-    pe = position_table(config.max_len, config.d_model)
-    y = (params["tgt_embed"][tokens] * np.sqrt(config.d_model) + pe[t])[:, None, :]
-    for i in range(config.n_decoder_layers):
-        prefix = f"dec{i}.self"
-        q = _project_heads(y, params[f"{prefix}.w_q"])
-        cache.keys[i] = np.concatenate([cache.keys[i], _project_heads(y, params[f"{prefix}.w_k"])], axis=2)
-        cache.values[i] = np.concatenate([cache.values[i], _project_heads(y, params[f"{prefix}.w_v"])], axis=2)
-        a, _, _ = _attend(params, prefix, q, cache.keys[i], cache.values[i], self_mask)
-        y = _ln_fwd(params, f"dec{i}.ln1", y + a)
-        k, v = cache.cross[i]
-        q = _project_heads(y, params[f"dec{i}.cross.w_q"])
-        c, _, _ = _attend(params, f"dec{i}.cross", q, k, v, cache.src_mask)
-        y = _ln_fwd(params, f"dec{i}.ln2", y + c)
-        f = _ff_fwd(params, f"dec{i}.ff", y)
-        y = _ln_fwd(params, f"dec{i}.ln3", y + f)
-    return (_mm(y, params["out.w"]) + params["out.b"])[:, 0]
+    tokens = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
+    return _decoder_block(params, config, cache, tokens, pad_id)[:, 0]
 
 
 def decode_logits(params: Parameters, config: ModelConfig, memory, src_mask, tgt_in_ids, pad_id: int | None = 0):
-    """Logits (B, T_tgt, V) for target prefixes, decoded one position at a time."""
+    """Logits (B, T_tgt, V) for target prefixes against an encoded memory."""
     tgt = _check_batch("tgt_in_ids", np.atleast_2d(np.asarray(tgt_in_ids)), config.max_len)
     cache = start_decoding(params, config, memory, src_mask, batch=tgt.shape[0])
-    steps = [decode_step(params, config, cache, tgt[:, t], pad_id=pad_id) for t in range(tgt.shape[1])]
-    return np.stack(steps, axis=1)
+    return _decoder_block(params, config, cache, tgt, pad_id)

@@ -7,6 +7,7 @@ and data produce bit-identical parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -107,7 +108,9 @@ def train(
     """Run Adam over shuffled minibatches for the configured epoch count.
 
     Returns the final parameters and per-epoch loss history. With epochs=0
-    the input parameters come back unchanged and the history is empty.
+    the input parameters come back unchanged and the history is empty. A
+    non-finite loss, or non-finite parameters at the end of an epoch, raise
+    ``RuntimeError`` naming the epoch and step.
     """
     if not train_pairs:
         raise ValueError("train needs at least one training pair")
@@ -118,14 +121,19 @@ def train(
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(len(train_pairs))
         total, tokens = 0.0, 0
-        for src, tgt_in, tgt_out in _epoch_batches(train_pairs, order, train_config.batch_size):
+        batches = _epoch_batches(train_pairs, order, train_config.batch_size)
+        for step, (src, tgt_in, tgt_out) in enumerate(batches, start=1):
             loss, grads = backward(params, config, src, tgt_in, tgt_out, pad_id=pad_id, train=True, rng=rng)
+            if not math.isfinite(loss):
+                raise RuntimeError(f"training loss is {loss} at epoch {epoch}, step {step}")
             if train_config.clip_norm is not None:
                 grads, _ = clip_gradients(grads, train_config.clip_norm)
             params, state = adam_step(params, grads, state, train_config)
             n = int((tgt_out != pad_id).sum())
             total += loss * n
             tokens += n
+        if not all(np.isfinite(p).all() for p in params.values()):
+            raise RuntimeError(f"parameters are not finite after epoch {epoch}, step {step}")
         val_loss = None
         if val_pairs:
             val_loss = evaluate_loss(params, config, val_pairs, batch_size=train_config.batch_size, pad_id=pad_id)

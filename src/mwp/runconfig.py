@@ -8,7 +8,7 @@ settings: dropout 0.1, learning rate 1e-4, batch size 8, 15 epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,15 +61,6 @@ def _as_bool(value: str) -> bool:
 
 def _as_opt_float(value: str) -> float | None:
     return None if value.lower() == "none" else _as_float(value)
-
-
-def _as_ratios(value: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated ratios, got {value!r}")
-    ratios = tuple(_as_float(p) for p in parts)
-    validate_ratios(ratios)
-    return ratios
 
 
 def _as_int_list(value: str) -> tuple[int, ...]:
@@ -126,7 +117,6 @@ class RunConfig:
     clip_norm: float | None = None
     # run-wide settings
     seed: int = 0
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     tolerance: str = "0"
     beam: int = 0  # 0 decodes greedily
     # hyperparameter grid
@@ -150,12 +140,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def train_config(
-        self,
-        batch_size: int | None = None,
-        epochs: int | None = None,
-        seed: int | None = None,
-    ) -> TrainConfig:
+    def train_config(self, batch_size: int | None = None, epochs: int | None = None) -> TrainConfig:
         try:
             return TrainConfig(
                 batch_size=self.batch_size if batch_size is None else batch_size,
@@ -164,14 +149,11 @@ class RunConfig:
                 beta1=self.beta1,
                 beta2=self.beta2,
                 eps=self.eps,
-                seed=self.seed if seed is None else seed,
+                seed=self.seed,
                 clip_norm=self.clip_norm,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _KEYS = {
@@ -198,7 +180,6 @@ _KEYS = {
     "train.eps": ("eps", _as_float),
     "train.clip_norm": ("clip_norm", _as_opt_float),
     "seed": ("seed", _as_int),
-    "split.ratios": ("ratios", _as_ratios),
     "eval.tolerance": ("tolerance", _as_fraction_str),
     "eval.beam": ("beam", _as_int),
     "grid.batch_sizes": ("grid_batch_sizes", _as_int_list),

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from bleu_oracle import CASES, naive_sentence_bleu
+from test_attention import attend
 from test_equation import oracle_eval, random_expr
 
 from mwp import dataset as ds
 from mwp.cli import main
 from mwp.equation import DivisionByZero, Equation, evaluate, parse_equation, to_canonical_string
 from mwp.metrics import CORRECT, WRONG, corpus_bleu, sentence_bleu, solution_accuracy
-from mwp.model.attention import scaled_dot_attention
 from mwp.model.config import ModelConfig, TrainConfig
 from mwp.model.decoding import greedy_decode
 from mwp.model.network import backward, cross_entropy_loss, forward, init_parameters
@@ -83,7 +83,7 @@ def test_c02_attention_invariants():
         k = rng.normal(size=(tk, dk))
         v = rng.normal(size=(tk, dv))
         mask = rng.random(size=(tq, tk)) < 0.7
-        w = scaled_dot_attention(q, k, v, mask).weights
+        w, _ = attend(q, k, v, mask)
         live = mask.any(axis=-1)
         if live.any():
             worst_sum = max(worst_sum, float(np.abs(w.sum(-1)[live] - 1.0).max()))
@@ -92,10 +92,10 @@ def test_c02_attention_invariants():
 
         one_k = rng.normal(size=(1, dk))
         one_v = rng.normal(size=(1, dv))
-        out = scaled_dot_attention(q, one_k, one_v).output
+        _, out = attend(q, one_k, one_v)
         single_exact = single_exact and np.array_equal(out, np.repeat(one_v, tq, axis=0))
 
-        uniform = scaled_dot_attention(np.zeros((tq, dk)), k, v).output
+        _, uniform = attend(np.zeros((tq, dk)), k, v)
         worst_uniform = max(worst_uniform, float(np.abs(uniform - v.mean(axis=0)).max()))
     ok = worst_sum <= 1e-9 and worst_masked <= 1e-12 and single_exact and worst_uniform <= 1e-12
     check("attention invariants", ok,

@@ -1,18 +1,31 @@
-"""Attention primitive tests: masking, scaling, heads, positions."""
+"""Attention tests: masking, scaling, heads, positions.
+
+The scaled dot-product and multi-head checks run the production attention
+core, ``network._attend`` and ``network._mha_fwd``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from mwp.model.attention import (
-    causal_mask,
-    masked_softmax,
-    multi_head_attention,
-    padding_mask,
-    positional_encoding,
-    scaled_dot_attention,
-)
+from mwp.model.attention import causal_mask, masked_softmax, padding_mask, positional_encoding
+from mwp.model.network import _attend, _mha_fwd
+
+
+def attend(q, k, v, mask=None):
+    """``_attend`` on one (T, d) head: its weights and its output before ``w_o``."""
+    params = {"a.w_o": np.eye(v.shape[-1])}
+    _, weights, heads = _attend(params, "a", q[None, None], k[None, None], v[None, None], mask)
+    return weights[0, 0], heads[0]
+
+
+def mha(query, key, value, w_q, w_k, w_v, w_o, mask=None):
+    """``_mha_fwd``: the output (B, T_q, D) and the per-head weights (B, H, T_q, T_k)."""
+    params = {"m.w_q": w_q, "m.w_k": w_k, "m.w_v": w_v, "m.w_o": w_o}
+    tape: dict = {}
+    out = _mha_fwd(params, "m", query, key, value, mask, tape)
+    return out, tape["m"][6]
 
 # --- masked softmax ----------------------------------------------------------
 
@@ -62,9 +75,9 @@ def test_single_key_returns_value_exactly():
     q = np.array([[0.3, -2.0, 5.0]])
     k = np.array([[1.0, 1.0, 1.0]])
     v = np.array([[7.0, 11.0, -3.0]])
-    att = scaled_dot_attention(q, k, v)
-    assert np.array_equal(att.weights, np.array([[1.0]]))
-    assert np.array_equal(att.output, v)
+    weights, output = attend(q, k, v)
+    assert np.array_equal(weights, np.array([[1.0]]))
+    assert np.array_equal(output, v)
 
 
 def test_uniform_scores_give_column_mean():
@@ -72,9 +85,9 @@ def test_uniform_scores_give_column_mean():
     q = np.array([[0.0, 0.0, 1.0]])
     k = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 2.0, 0.0]])
     v = np.arange(12.0).reshape(3, 4)
-    att = scaled_dot_attention(q, k, v)
-    np.testing.assert_allclose(att.weights, np.full((1, 3), 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(att.output[0], v.mean(axis=0), atol=1e-12)
+    weights, output = attend(q, k, v)
+    np.testing.assert_allclose(weights, np.full((1, 3), 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(output[0], v.mean(axis=0), atol=1e-12)
 
 
 def test_two_key_case_against_scalar_computation():
@@ -82,11 +95,11 @@ def test_two_key_case_against_scalar_computation():
     q = np.array([[1.0, 0.0]])
     k = np.array([[1.0, 0.0], [0.0, 1.0]])
     v = np.array([[1.0, 0.0], [0.0, 1.0]])
-    att = scaled_dot_attention(q, k, v)
+    weights, output = attend(q, k, v)
     s = 1.0 / math.sqrt(2.0)
     w0 = math.exp(s) / (math.exp(s) + 1.0)
-    np.testing.assert_allclose(att.weights, [[w0, 1.0 - w0]], atol=1e-12)
-    np.testing.assert_allclose(att.output, [[w0, 1.0 - w0]], atol=1e-12)
+    np.testing.assert_allclose(weights, [[w0, 1.0 - w0]], atol=1e-12)
+    np.testing.assert_allclose(output, [[w0, 1.0 - w0]], atol=1e-12)
 
 
 def test_scores_scale_by_inverse_sqrt_dk():
@@ -95,9 +108,9 @@ def test_scores_scale_by_inverse_sqrt_dk():
         q = rng.normal(size=(1, d_k))
         k = rng.normal(size=(5, d_k))
         v = rng.normal(size=(5, 2))
-        att = scaled_dot_attention(q, k, v)
+        weights, _ = attend(q, k, v)
         manual = masked_softmax((q @ k.T) / math.sqrt(d_k))
-        np.testing.assert_allclose(att.weights, manual, atol=1e-12)
+        np.testing.assert_allclose(weights, manual, atol=1e-12)
 
 
 def test_score_variance_stable_under_dk_doubling():
@@ -120,12 +133,12 @@ def test_attention_invariants_random_batch():
     k = rng.normal(size=(2, 3, 5, 8))
     v = rng.normal(size=(2, 3, 5, 8))
     mask = rng.random(size=(2, 1, 6, 5)) > 0.3
-    att = scaled_dot_attention(q, k, v, mask=mask)
-    sums = att.weights.sum(axis=-1)
-    allowed = np.broadcast_to(mask, att.weights.shape)
+    _, weights, _ = _attend({"a.w_o": np.eye(3 * 8)}, "a", q, k, v, mask)
+    sums = weights.sum(axis=-1)
+    allowed = np.broadcast_to(mask, weights.shape)
     live = allowed.any(axis=-1)
     np.testing.assert_allclose(sums[live], 1.0, atol=1e-9)
-    assert np.all(att.weights[~allowed] <= 1e-12)
+    assert np.all(weights[~allowed] <= 1e-12)
 
 
 # --- multi-head attention -------------------------------------------------------
@@ -135,10 +148,10 @@ def test_single_head_identity_projections_reduce_to_scaled_dot():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 5, 4))
     eye = np.eye(4)[None]
-    att = multi_head_attention(x, x, x, eye, eye, eye, np.eye(4))
-    plain = scaled_dot_attention(x[0], x[0], x[0])
-    np.testing.assert_allclose(att.output[0], plain.output, atol=1e-12)
-    np.testing.assert_allclose(att.weights[0, 0], plain.weights, atol=1e-12)
+    output, weights = mha(x, x, x, eye, eye, eye, np.eye(4))
+    plain_weights, plain_output = attend(x[0], x[0], x[0])
+    np.testing.assert_allclose(output[0], plain_output, atol=1e-12)
+    np.testing.assert_allclose(weights[0, 0], plain_weights, atol=1e-12)
 
 
 def test_two_heads_match_manual_concat():
@@ -149,13 +162,13 @@ def test_two_heads_match_manual_concat():
     w_k = rng.normal(size=(h, d_model, d_k))
     w_v = rng.normal(size=(h, d_model, d_k))
     w_o = rng.normal(size=(h * d_k, d_model))
-    att = multi_head_attention(x, x, x, w_q, w_k, w_v, w_o)
+    output, _ = mha(x, x, x, w_q, w_k, w_v, w_o)
     heads = []
     for i in range(h):
-        head = scaled_dot_attention(x[0] @ w_q[i], x[0] @ w_k[i], x[0] @ w_v[i])
-        heads.append(head.output)
+        _, head = attend(x[0] @ w_q[i], x[0] @ w_k[i], x[0] @ w_v[i])
+        heads.append(head)
     manual = np.concatenate(heads, axis=-1) @ w_o
-    np.testing.assert_allclose(att.output[0], manual, atol=1e-12)
+    np.testing.assert_allclose(output[0], manual, atol=1e-12)
 
 
 def test_key_value_permutation_equivariance():
@@ -166,9 +179,9 @@ def test_key_value_permutation_equivariance():
     w = rng.normal(size=(1, d_model, d_model))
     w_o = rng.normal(size=(d_model, d_model))
     perm = np.array([4, 2, 0, 3, 1])
-    base = multi_head_attention(q, kv, kv, w, w, w, w_o)
-    shuffled = multi_head_attention(q, kv[:, perm], kv[:, perm], w, w, w, w_o)
-    np.testing.assert_allclose(base.output, shuffled.output, atol=1e-12)
+    base, _ = mha(q, kv, kv, w, w, w, w_o)
+    shuffled, _ = mha(q, kv[:, perm], kv[:, perm], w, w, w, w_o)
+    np.testing.assert_allclose(base, shuffled, atol=1e-12)
 
 
 # --- positional encoding ----------------------------------------------------------

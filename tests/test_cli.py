@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mwp import dataset as ds
-from mwp.cli import main
+from mwp.cli import _grid_workers, main
 from mwp.runconfig import (
     ConfigError,
     load_run_config,
@@ -73,6 +73,9 @@ def test_parse_config_text_rejects_bad_lines():
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError, match="unknown key 'model.depth'"):
         run_config_from_mapping({"model.depth": "3"})
+    # mwp split takes its ratios from --ratios only
+    with pytest.raises(ConfigError, match="unknown key 'split.ratios'"):
+        run_config_from_mapping({"split.ratios": "0.8,0.1,0.1"})
 
 
 def test_config_values_convert_and_validate():
@@ -173,6 +176,15 @@ def test_split_missing_input_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_split_non_string_fields_are_data_error(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"problem": "p", "equation": "x = 1"}\n{"problem": {"a": 1}, "equation": "x = 2"}\n',
+                    encoding="utf-8")
+    assert main(["split", "--in", str(data), "--out", str(tmp_path / "parts")]) == 3
+    assert "line 2: 'problem' and 'equation' must be strings" in capsys.readouterr().err
+    assert not (tmp_path / "parts").exists()
+
+
 def test_split_bad_ratios_is_config_error(tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     main(["datagen", "--n", "10", "--out", str(data)])
@@ -257,6 +269,18 @@ def test_train_same_seed_gives_identical_checkpoints(tmp_path):
     first = (tmp_path / "model.ckpt").read_bytes()
     assert main(["train", "--config", str(config), "--seed", "3"]) == 0
     assert (tmp_path / "model.ckpt").read_bytes() == first
+
+
+def test_train_non_finite_loss_is_runtime_error(tmp_path, capsys):
+    make_parts(tmp_path)
+    config = write_config(tmp_path, extra="train.learning_rate = 1e300\n")
+    config.write_text(config.read_text(encoding="utf-8").replace("train.learning_rate = 0.003\n", ""),
+                      encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: training loss is nan at epoch 1, step 2")
+    assert not (tmp_path / "model.ckpt").exists()
+    assert not (tmp_path / "history.txt").exists()
 
 
 def test_train_missing_dataset_is_data_error(tmp_path, capsys):
@@ -389,3 +413,12 @@ def test_grid_cell_failure_sets_runtime_exit(tmp_path, capsys):
     report = json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))
     assert "error" in report["rows"][0]
     assert "error" in capsys.readouterr().out
+
+
+def test_grid_workers_capped_by_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _grid_workers(6) == 2
+    assert _grid_workers(1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _grid_workers(6) == 3

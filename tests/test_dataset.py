@@ -76,6 +76,9 @@ def test_jsonl_blank_lines_skipped(tmp_path):
         ('{"problem": "p"}', "'problem' and 'equation'"),
         ('{"problem": "p", "equation": "x=1", "answer": true}', "bad answer"),
         ('{"problem": "p", "equation": "x=1", "answer": [1]}', "bad answer"),
+        ('{"problem": {"a": 1}, "equation": "x=1"}', "line 1: 'problem' and 'equation' must be strings"),
+        ('{"problem": "p", "equation": ["x = 2"]}', "line 1: 'problem' and 'equation' must be strings"),
+        ('{"problem": 7, "equation": null}', "must be strings"),
     ],
 )
 def test_jsonl_malformed_lines(tmp_path, line, fragment):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bleu_oracle import CASES, naive_corpus_bleu, naive_sentence_bleu
+from mwp import equation
 from mwp.dataset import MwpRecord
 from mwp.metrics import (
     CORRECT,
@@ -203,6 +204,31 @@ def test_evaluate_corpus_unparseable_prediction():
     assert record.solved_value is None
     assert record.reference_value == "5"
     assert report.solution_accuracy == 0.0
+
+
+def test_division_by_zero_prediction_same_verdict_both_ways():
+    _, verdicts = solution_accuracy([("x = 4 / 0", "x = 4")])
+    report = evaluate_corpus(["x=4/0"], _records(["x = 4"]))
+    record = report.per_record[0]
+    assert verdicts[0].verdict == record.verdict == UNPARSEABLE
+    assert verdicts[0].predicted_value is None and record.solved_value is None
+    # it parses, so BLEU tokenizes its canonical form, without the parentheses
+    bleu = [evaluate_corpus([p], _records(["x = 4 / 2"])).per_record[0].bleu for p in ("x = ((4)) / 0", "x = 4 / 0")]
+    assert bleu[0] == bleu[1] > 0.0
+
+
+def test_evaluate_corpus_parses_each_equation_once(monkeypatch):
+    calls = []
+    real = equation.parse_equation
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(equation, "parse_equation", counting)
+    predictions = ["x = 2 + 3", "x = 1 +", "x = 1 / 0", "x = 9"]
+    evaluate_corpus(predictions, _records(["x = 5", "x = 1", "x = 2", "x = 3"]))
+    assert len(calls) == 2 * len(predictions)
 
 
 def test_evaluate_corpus_tolerance_passthrough():

@@ -10,10 +10,12 @@ from mwp.model.network import (
     backward,
     cross_entropy_loss,
     decode_logits,
+    decode_step,
     encode,
     forward,
     forward_with_tape,
     init_parameters,
+    start_decoding,
 )
 
 TINY = ModelConfig(
@@ -123,6 +125,19 @@ def test_encode_decode_match_forward():
     memory, src_mask = encode(params, TINY, SRC)
     logits = decode_logits(params, TINY, memory, src_mask, TGT_IN)
     np.testing.assert_allclose(logits, forward(params, TINY, SRC, TGT_IN), atol=1e-12)
+
+
+@pytest.mark.parametrize("pad_id", [0, None])
+def test_decode_step_loop_matches_forward(pad_id):
+    # a PAD token inside the prefix is masked as a key by both paths when
+    # pad_id is 0, and attended to like any token when pad_id is None
+    params = tiny_params()
+    tgt_in = np.array([[1, 4, 0, 6], [1, 7, 8, 0]])
+    memory, src_mask = encode(params, TINY, SRC, pad_id=pad_id)
+    cache = start_decoding(params, TINY, memory, src_mask)
+    steps = [decode_step(params, TINY, cache, tgt_in[:, t], pad_id=pad_id) for t in range(tgt_in.shape[1])]
+    want = forward(params, TINY, SRC, tgt_in, pad_id=pad_id)
+    np.testing.assert_allclose(np.stack(steps, axis=1), want, atol=1e-12)
 
 
 def test_train_mode_requires_rng_when_dropout_on():
