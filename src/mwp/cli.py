@@ -28,7 +28,7 @@ from .model import (
     Checkpoint,
     FilePredictions,
     SubprocessPredictor,
-    beam_decode,
+    beam_decode_batch,
     external_predict,
     greedy_decode_batch,
     init_parameters,
@@ -116,7 +116,10 @@ def _train_once(
         _checked_pairs(val_records, src_vocab, tgt_vocab, model_config.max_len) if val_records else None
     )
     params = init_parameters(model_config, np.random.default_rng(train_config.seed))
-    result = train(params, model_config, train_config, pairs, val_pairs, callback=callback)
+    # train stops a diverging run with one RuntimeError (exit 4), so numpy's
+    # overflow and invalid-value warnings on the way there are not printed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = train(params, model_config, train_config, pairs, val_pairs, callback=callback)
     return result.params, model_config, train_config, result.history
 
 
@@ -130,7 +133,7 @@ def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
             raise ds.DatasetError(f"record {rec.id!r} exceeds max_len={ckpt.config.max_len}")
         sources.append(src)
     if beam > 0:
-        decoded = [beam_decode(ckpt.params, ckpt.config, src, beam_size=beam) for src in sources]
+        decoded = beam_decode_batch(ckpt.params, ckpt.config, sources, beam_size=beam)
     else:
         decoded = greedy_decode_batch(ckpt.params, ckpt.config, sources)
     return [" ".join(decode(ids, ckpt.tgt_vocab, strip_special=True).tokens) for ids in decoded]

@@ -3,7 +3,7 @@
 from .attention import causal_mask, masked_softmax, padding_mask, positional_encoding
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
-from .decoding import beam_decode, greedy_decode, greedy_decode_batch
+from .decoding import beam_decode, beam_decode_batch, greedy_decode, greedy_decode_batch
 from .external import FilePredictions, SubprocessPredictor, external_predict
 from .network import (
     Parameters,
@@ -38,6 +38,7 @@ __all__ = [
     "adam_step",
     "backward",
     "beam_decode",
+    "beam_decode_batch",
     "causal_mask",
     "clip_gradients",
     "cross_entropy_loss",

@@ -6,13 +6,16 @@ self-attention keys and values to a cache and attends to cross-attention
 keys and values projected once per source, so no step re-runs the decoder
 over the prefix.
 
-Greedy decoding takes a list of sources and decodes them in chunks of
-``GREEDY_CHUNK_SIZE``, sorted by length so a chunk pads little; padded
-source positions are masked, and a row leaves the batch and the cache when
-it emits EOS. Beam search decodes one source at a time, its hypotheses
-sharing that source's cross-attention keys and values. Returned ids exclude
-BOS and EOS. Ties are broken toward the smaller token id, so decoding is
-fully deterministic; beam search with beam_size=1 reproduces greedy
+Both decoders take a list of sources and decode them in length-sorted
+chunks, so a chunk pads little; padded source positions are masked.
+Greedy decodes ``GREEDY_CHUNK_SIZE`` records per chunk, and a row leaves
+the batch and the cache when it emits EOS. Beam search decodes
+``BEAM_CHUNK_SIZE`` records per chunk: the live hypotheses of every record
+share one step, each gathering its cache row from its parent, and a record
+stops taking rows once all of its beams have finished. Each record still
+ranks its own hypotheses. Returned ids exclude BOS and EOS and come back
+in input order. Ties are broken toward the smaller token id, so decoding
+is fully deterministic; beam search with beam_size=1 reproduces greedy
 decoding exactly.
 """
 
@@ -25,6 +28,12 @@ from .config import ModelConfig
 from .network import Parameters, decode_step, encode, start_decoding
 
 GREEDY_CHUNK_SIZE = 8
+BEAM_CHUNK_SIZE = 4  # records, so at most 4 * beam_size hypothesis rows per step
+
+# beam hypothesis: (token tuple starting with BOS, summed logprob, finished,
+# cache row of the live parent it grew from); cache row r holds the r-th live
+# hypothesis of the step, whose last token is that step's input
+Hypothesis = tuple[tuple[int, ...], float, bool, int]
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:
@@ -39,6 +48,22 @@ def _one_source(src_ids) -> np.ndarray:
     return src[0]
 
 
+def _encoded_chunks(params: Parameters, config: ModelConfig, sources, chunk_size: int, pad_id: int):
+    """Source indices and a fresh decoder cache, one row per record, for
+    each chunk of ``chunk_size`` records in order of source length."""
+    sources = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sources]
+    if any(len(s) == 0 for s in sources):
+        raise ValueError("src_ids has zero time steps")
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    for start in range(0, len(order), chunk_size):
+        chunk = order[start : start + chunk_size]
+        src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), pad_id, dtype=np.int64)
+        for row, i in enumerate(chunk):
+            src[row, : len(sources[i])] = sources[i]
+        memory, src_mask = encode(params, config, src, pad_id=pad_id)
+        yield chunk, start_decoding(params, config, memory, src_mask)
+
+
 def greedy_decode_batch(
     params: Parameters,
     config: ModelConfig,
@@ -49,19 +74,10 @@ def greedy_decode_batch(
     pad_id: int = PAD_ID,
 ) -> list[list[int]]:
     """Greedy ids for each source, in input order; see ``greedy_decode``."""
-    sources = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sources]
-    if any(len(s) == 0 for s in sources):
-        raise ValueError("src_ids has zero time steps")
     limit = config.max_len - 1 if max_steps is None else max_steps
-    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    sources = list(sources)
     results: list[list[int]] = [[] for _ in sources]
-    for start in range(0, len(order), GREEDY_CHUNK_SIZE):
-        chunk = order[start : start + GREEDY_CHUNK_SIZE]
-        src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), pad_id, dtype=np.int64)
-        for row, i in enumerate(chunk):
-            src[row, : len(sources[i])] = sources[i]
-        memory, src_mask = encode(params, config, src, pad_id=pad_id)
-        cache = start_decoding(params, config, memory, src_mask)
+    for chunk, cache in _encoded_chunks(params, config, sources, GREEDY_CHUNK_SIZE, pad_id):
         live = np.array(chunk)
         tokens = np.full(len(chunk), bos_id, dtype=np.int64)
         for _ in range(limit):
@@ -90,6 +106,60 @@ def greedy_decode(
     return greedy_decode_batch(params, config, [_one_source(src_ids)], max_steps, bos_id, eos_id, pad_id)[0]
 
 
+def _final_score(h: Hypothesis) -> float:
+    # unfinished survivors count their generated tokens; finished ones also
+    # paid for EOS, so normalize by generated length including EOS
+    generated = len(h[0]) - 1 + (1 if h[2] else 0)
+    return h[1] / max(generated, 1)
+
+
+def beam_decode_batch(
+    params: Parameters,
+    config: ModelConfig,
+    sources,
+    beam_size: int = 4,
+    max_steps: int | None = None,
+    bos_id: int = BOS_ID,
+    eos_id: int = EOS_ID,
+    pad_id: int = PAD_ID,
+) -> list[list[int]]:
+    """Beam-search ids for each source, in input order; see ``beam_decode``."""
+    if beam_size < 1:
+        raise ValueError("beam_size must be >= 1")
+    limit = config.max_len - 1 if max_steps is None else max_steps
+    sources = list(sources)
+    results: list[list[int]] = [[] for _ in sources]
+    for chunk, cache in _encoded_chunks(params, config, sources, BEAM_CHUNK_SIZE, pad_id):
+        beams: list[list[Hypothesis]] = [[((bos_id,), 0.0, False, row)] for row in range(len(chunk))]
+        for _ in range(limit):
+            # a record whose beams have all finished has no live rows left
+            lives = [[h for h in record if not h[2]] for record in beams]
+            rows = [h for live in lives for h in live]
+            if not rows:
+                break
+            cache = cache.select([h[3] for h in rows])
+            logits = decode_step(params, config, cache, [h[0][-1] for h in rows], pad_id=pad_id)
+            row = 0
+            for r, live in enumerate(lives):
+                if not live:
+                    continue
+                candidates = [h for h in beams[r] if h[2]]
+                for tokens, score, _, _ in live:
+                    logp = _log_softmax(logits[row])
+                    for token in np.argsort(-logp, kind="stable")[: beam_size + 1]:
+                        token = int(token)
+                        if token == eos_id:
+                            candidates.append((tokens, score + float(logp[token]), True, row))
+                        else:
+                            candidates.append((tokens + (token,), score + float(logp[token]), False, row))
+                    row += 1
+                candidates.sort(key=lambda h: (-h[1], h[0]))
+                beams[r] = candidates[:beam_size]
+        for i, record in zip(chunk, beams):
+            results[i] = list(min(record, key=lambda h: (-_final_score(h), h[0]))[0][1:])
+    return results
+
+
 def beam_decode(
     params: Parameters,
     config: ModelConfig,
@@ -106,42 +176,4 @@ def beam_decode(
     mean log probability per generated token (EOS included) for the final
     ranking, which keeps short and long candidates comparable.
     """
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    src = _one_source(src_ids)[None]
-    memory, src_mask = encode(params, config, src, pad_id=pad_id)
-    cache = start_decoding(params, config, memory, src_mask)
-    limit = config.max_len - 1 if max_steps is None else max_steps
-
-    # hypothesis: (token tuple starting with BOS, summed logprob, finished,
-    # cache row of the live parent it grew from); cache row r holds the
-    # r-th live hypothesis, whose last token is the next step's input
-    beams: list[tuple[tuple[int, ...], float, bool, int]] = [((bos_id,), 0.0, False, 0)]
-    for _ in range(limit):
-        live = [h for h in beams if not h[2]]
-        if not live:
-            break
-        cache = cache.select([h[3] for h in live])
-        logits = decode_step(params, config, cache, [h[0][-1] for h in live], pad_id=pad_id)
-        candidates = [h for h in beams if h[2]]
-        for row, (tokens, score, _, _) in enumerate(live):
-            logp = _log_softmax(logits[row])
-            order = np.argsort(-logp, kind="stable")[: beam_size + 1]
-            for token in order:
-                token = int(token)
-                if token == eos_id:
-                    candidates.append((tokens, score + float(logp[token]), True, row))
-                else:
-                    candidates.append((tokens + (token,), score + float(logp[token]), False, row))
-        candidates.sort(key=lambda h: (-h[1], h[0]))
-        beams = candidates[:beam_size]
-        if all(h[2] for h in beams):
-            break
-    # unfinished survivors count their generated tokens; finished ones also
-    # paid for EOS, so normalize by generated length including EOS
-    def final_score(h: tuple[tuple[int, ...], float, bool, int]) -> float:
-        generated = len(h[0]) - 1 + (1 if h[2] else 0)
-        return h[1] / max(generated, 1)
-
-    best = min(beams, key=lambda h: (-final_score(h), h[0]))
-    return list(best[0][1:])
+    return beam_decode_batch(params, config, [_one_source(src_ids)], beam_size, max_steps, bos_id, eos_id, pad_id)[0]

@@ -106,11 +106,17 @@ def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*lead, w.shape[-1])
 
 
-def _project_heads(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(B, T, D) x (H, D, K) -> (B, H, T, K)."""
+def _fuse_heads(w: np.ndarray) -> np.ndarray:
+    """(H, D, K) -> (D, H*K): every head's projection as one matrix."""
+    h, d, k = w.shape
+    return w.transpose(1, 0, 2).reshape(d, h * k)
+
+
+def _project_heads(x: np.ndarray, w: np.ndarray, fused: np.ndarray | None = None) -> np.ndarray:
+    """(B, T, D) x (H, D, K) -> (B, H, T, K); ``fused`` is ``_fuse_heads(w)`` if already made."""
     h, d, k = w.shape
     b, t, _ = x.shape
-    out = x.reshape(b * t, d) @ w.transpose(1, 0, 2).reshape(d, h * k)
+    out = x.reshape(b * t, d) @ (_fuse_heads(w) if fused is None else fused)
     return out.reshape(b, t, h, k).transpose(0, 2, 1, 3)
 
 
@@ -188,9 +194,10 @@ def _attend(params, prefix, q, k, v, mask):
     return _mm(concat, params[f"{prefix}.w_o"]), weights, concat
 
 
-def _mha_fwd(params, prefix, query, key, value, mask, tape=None, kv=None):
-    """Attention of ``query`` over ``key``/``value``; ``kv`` is their projection if already made."""
-    q = _project_heads(query, params[f"{prefix}.w_q"])
+def _mha_fwd(params, prefix, query, key, value, mask, tape=None, kv=None, w_q=None):
+    """Attention of ``query`` over ``key``/``value``; ``kv`` is their projection
+    and ``w_q`` the fused query weight, if already made."""
+    q = _project_heads(query, params[f"{prefix}.w_q"], w_q)
     if kv is None:
         kv = _project_heads(key, params[f"{prefix}.w_k"]), _project_heads(value, params[f"{prefix}.w_v"])
     k, v = kv
@@ -406,14 +413,18 @@ def encode(params: Parameters, config: ModelConfig, src_ids, pad_id: int | None 
 class DecoderCache:
     """What incremental decoding keeps between steps, one row per sequence.
 
-    ``cross`` holds each decoder layer's cross-attention keys and values,
-    projected once from the encoder memory; a batch of one serves every row
-    and is never gathered. ``keys`` and ``values`` hold each layer's
-    self-attention keys and values for the positions decoded so far, and
-    ``key_ok`` (B, T) marks which of those positions may be attended to.
+    ``weights`` holds each decoder layer's fused self-attention query, key
+    and value weights and cross-attention query weight (``_fuse_heads``),
+    made once rather than at every step. ``cross`` holds each layer's
+    cross-attention keys and values, projected once from the encoder memory;
+    a batch of one serves every row and is never gathered. ``keys`` and
+    ``values`` hold each layer's self-attention keys and values for the
+    positions decoded so far, and ``key_ok`` (B, T) marks which of those
+    positions may be attended to.
     """
 
-    def __init__(self, cross, src_mask, keys, values, key_ok):
+    def __init__(self, weights, cross, src_mask, keys, values, key_ok):
+        self.weights = weights
         self.cross = cross
         self.src_mask = src_mask
         self.keys = keys
@@ -432,6 +443,7 @@ class DecoderCache:
             return a if a.shape[0] == 1 else a[rows]
 
         return DecoderCache(
+            self.weights,
             [(take(k), take(v)) for k, v in self.cross],
             take(self.src_mask),
             [k[rows] for k in self.keys],
@@ -444,12 +456,16 @@ def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, ba
     """An empty cache for ``batch`` rows (default: one per memory row)."""
     batch = memory.shape[0] if batch is None else batch
     n = config.n_decoder_layers
+    weights = [
+        tuple(_fuse_heads(params[f"dec{i}.{name}"]) for name in ("self.w_q", "self.w_k", "self.w_v", "cross.w_q"))
+        for i in range(n)
+    ]
     cross = [
         (_project_heads(memory, params[f"dec{i}.cross.w_k"]), _project_heads(memory, params[f"dec{i}.cross.w_v"]))
         for i in range(n)
     ]
     empty = np.empty((batch, config.n_heads, 0, config.d_k))
-    return DecoderCache(cross, src_mask, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
+    return DecoderCache(weights, cross, src_mask, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
 
 
 def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, train=False, rng=None):
@@ -474,12 +490,13 @@ def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, t
     y = _dropout_fwd(y, p, train, rng, tape, "drop.tgt_embed")
     for i in range(config.n_decoder_layers):
         prefix = f"dec{i}.self"
-        cache.keys[i] = np.concatenate([cache.keys[i], _project_heads(y, params[f"{prefix}.w_k"])], axis=2)
-        cache.values[i] = np.concatenate([cache.values[i], _project_heads(y, params[f"{prefix}.w_v"])], axis=2)
-        a = _mha_fwd(params, prefix, y, y, y, self_mask, tape, kv=(cache.keys[i], cache.values[i]))
+        w_q, w_k, w_v, cross_w_q = cache.weights[i]
+        cache.keys[i] = np.concatenate([cache.keys[i], _project_heads(y, params[f"{prefix}.w_k"], w_k)], axis=2)
+        cache.values[i] = np.concatenate([cache.values[i], _project_heads(y, params[f"{prefix}.w_v"], w_v)], axis=2)
+        a = _mha_fwd(params, prefix, y, y, y, self_mask, tape, kv=(cache.keys[i], cache.values[i]), w_q=w_q)
         a = _dropout_fwd(a, p, train, rng, tape, f"drop.{prefix}")
         y = _ln_fwd(params, f"dec{i}.ln1", y + a, tape)
-        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, cache.src_mask, tape, kv=cache.cross[i])
+        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, cache.src_mask, tape, kv=cache.cross[i], w_q=cross_w_q)
         c = _dropout_fwd(c, p, train, rng, tape, f"drop.dec{i}.cross")
         y = _ln_fwd(params, f"dec{i}.ln2", y + c, tape)
         f = _ff_fwd(params, f"dec{i}.ff", y, tape)

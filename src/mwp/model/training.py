@@ -109,8 +109,8 @@ def train(
 
     Returns the final parameters and per-epoch loss history. With epochs=0
     the input parameters come back unchanged and the history is empty. A
-    non-finite loss, or non-finite parameters at the end of an epoch, raise
-    ``RuntimeError`` naming the epoch and step.
+    non-finite training loss, non-finite parameters at the end of an epoch,
+    or a non-finite validation loss raise ``RuntimeError`` naming the epoch.
     """
     if not train_pairs:
         raise ValueError("train needs at least one training pair")
@@ -137,6 +137,8 @@ def train(
         val_loss = None
         if val_pairs:
             val_loss = evaluate_loss(params, config, val_pairs, batch_size=train_config.batch_size, pad_id=pad_id)
+            if not math.isfinite(val_loss):
+                raise RuntimeError(f"validation loss is {val_loss} at epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=total / tokens, val_loss=val_loss)
         history.append(stats)
         if callback is not None:

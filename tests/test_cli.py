@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -279,6 +280,32 @@ def test_train_non_finite_loss_is_runtime_error(tmp_path, capsys):
     assert main(["train", "--config", str(config)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("runtime error: training loss is nan at epoch 1, step 2")
+    assert not (tmp_path / "model.ckpt").exists()
+    assert not (tmp_path / "history.txt").exists()
+
+
+def test_train_divergence_prints_one_stderr_line(tmp_path):
+    # numpy's overflow warnings would go to stderr before the error line
+    make_parts(tmp_path)
+    config = write_config(tmp_path, extra="train.learning_rate = 1e300\n")
+    config.write_text(config.read_text(encoding="utf-8").replace("train.learning_rate = 0.003\n", ""),
+                      encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "mwp.cli", "train", "--config", str(config)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == "runtime error: training loss is nan at epoch 1, step 2\n"
+
+
+def test_train_infinite_validation_loss_is_runtime_error(tmp_path, capsys, monkeypatch):
+    import mwp.model.training
+
+    make_parts(tmp_path)
+    config = write_config(tmp_path)
+    monkeypatch.setattr(mwp.model.training, "evaluate_loss", lambda *args, **kwargs: float("inf"))
+    assert main(["train", "--config", str(config)]) == 4
+    assert capsys.readouterr().err == "runtime error: validation loss is inf at epoch 1\n"
     assert not (tmp_path / "model.ckpt").exists()
     assert not (tmp_path / "history.txt").exists()
 

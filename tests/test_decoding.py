@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from mwp.model.config import ModelConfig, TrainConfig
-from mwp.model.decoding import GREEDY_CHUNK_SIZE, beam_decode, greedy_decode, greedy_decode_batch
+from mwp.model.decoding import (
+    BEAM_CHUNK_SIZE,
+    GREEDY_CHUNK_SIZE,
+    beam_decode,
+    beam_decode_batch,
+    greedy_decode,
+    greedy_decode_batch,
+)
 from mwp.model.network import decode_logits, encode, forward, init_parameters, position_table
 from mwp.model.training import prepare_pairs, train
 from mwp.preprocess import BOS_ID, EOS_ID, PAD_ID, build_vocab, tokenize
@@ -267,6 +274,76 @@ def test_cached_beam_matches_reference_on_trained_model(beam_size):
     params, config, pairs = overfit_setup()
     for src, _ in pairs:
         assert beam_decode(params, config, src, beam_size=beam_size) == reference_beam(params, config, src, beam_size)
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, BEAM_CHUNK_SIZE, BEAM_CHUNK_SIZE + 1, 3 * BEAM_CHUNK_SIZE + 2])
+def test_batched_beam_matches_reference_on_random_models(n, beam_size):
+    # sources of lengths 1..12 share chunks, so padded source positions must be masked
+    for seed in range(2):
+        params, config = random_setup(140 + seed)
+        sources = mixed_sources(20 + seed, n)
+        want = [reference_beam(params, config, src, beam_size) for src in sources]
+        assert beam_decode_batch(params, config, sources, beam_size=beam_size) == want
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 4])
+def test_batched_beam_matches_reference_with_step_limit(beam_size):
+    params, config = random_setup(142)
+    sources = mixed_sources(22, BEAM_CHUNK_SIZE + 2)
+    for max_steps in (0, 1, 3):
+        want = [reference_beam(params, config, src, beam_size, max_steps) for src in sources]
+        assert beam_decode_batch(params, config, sources, beam_size=beam_size, max_steps=max_steps) == want
+
+
+@pytest.mark.parametrize("beam_size", [2, 4])
+def test_batched_beam_records_finishing_at_different_steps(beam_size):
+    # a bias toward EOS ends some records' beams after a few steps while
+    # others in the same chunk run on to the step limit
+    params, config = random_setup(131)
+    params["out.b"][EOS_ID] = 2.0
+    sources = mixed_sources(131, 2 * BEAM_CHUNK_SIZE + 1)
+    want = [reference_beam(params, config, src, beam_size) for src in sources]
+    got = beam_decode_batch(params, config, sources, beam_size=beam_size)
+    assert got == want
+    assert len({len(ids) for ids in got}) >= 3
+
+
+def test_batched_beam_matches_reference_on_trained_model():
+    params, config, pairs = overfit_setup()
+    sources = [src for src, _ in pairs] * 3
+    for beam_size in (1, 2, 4):
+        want = [reference_beam(params, config, src, beam_size) for src in sources]
+        assert beam_decode_batch(params, config, sources, beam_size=beam_size) == want
+
+
+def test_batched_beam_returns_input_order():
+    params, config = random_setup(143)
+    params["out.b"][EOS_ID] = 2.0
+    sources = mixed_sources(23, 2 * BEAM_CHUNK_SIZE + 3)
+    got = beam_decode_batch(params, config, sources, beam_size=3)
+    assert got == [beam_decode(params, config, src, beam_size=3) for src in sources]
+    # longest source first reverses the order the chunks decode in
+    order = sorted(range(len(sources)), key=lambda i: -len(sources[i]))
+    assert beam_decode_batch(params, config, [sources[i] for i in order], beam_size=3) == [got[i] for i in order]
+
+
+def test_batched_beam_size_one_equals_batched_greedy():
+    for seed in range(3):
+        params, config = random_setup(144 + seed)
+        sources = mixed_sources(24 + seed, GREEDY_CHUNK_SIZE + BEAM_CHUNK_SIZE + 1)
+        assert beam_decode_batch(params, config, sources, beam_size=1) == greedy_decode_batch(params, config, sources)
+
+
+def test_batched_beam_rejects_bad_input():
+    params, config = random_setup(147)
+    assert beam_decode_batch(params, config, []) == []
+    with pytest.raises(ValueError, match="zero time steps"):
+        beam_decode_batch(params, config, [[5, 6], []])
+    with pytest.raises(ValueError, match="max_len"):
+        beam_decode_batch(params, config, [[5] * (config.max_len + 1)])
+    with pytest.raises(ValueError, match="beam_size"):
+        beam_decode_batch(params, config, [[5]], beam_size=0)
 
 
 def test_position_table_is_cached_and_read_only():

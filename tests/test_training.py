@@ -12,7 +12,7 @@ from mwp.model.training import (
     prepare_pairs,
     train,
 )
-from mwp.preprocess import BOS_ID, EOS_ID, PAD_ID, build_vocab, tokenize
+from mwp.preprocess import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab, tokenize
 from mwp.synth import generate_synthetic
 
 SMALL = dict(d_model=16, n_heads=2, d_ff=32, n_encoder_layers=1, n_decoder_layers=1, max_len=32)
@@ -197,3 +197,21 @@ def test_empty_training_set_rejected():
     params = init_parameters(config, np.random.default_rng(7))
     with pytest.raises(ValueError, match="at least one"):
         train(params, config, TrainConfig(epochs=1), [])
+
+
+def test_infinite_validation_loss_stops_training():
+    # UNK is never a training target, so its gradient is exactly zero and its
+    # huge negative bias survives training; two UNK targets in a validation
+    # pair then sum two log probabilities of about -1e308 to -inf.
+    pairs, src_vocab, tgt_vocab = make_pairs(n=4)
+    config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
+                         dropout=0.0, **SMALL)
+    params = init_parameters(config, np.random.default_rng(8))
+    params["out.b"][UNK_ID] = -1e308
+    val_pairs = [(pairs[0][0], [BOS_ID, UNK_ID, UNK_ID, EOS_ID])]
+    seen = []
+    with np.errstate(over="ignore"):
+        assert np.isinf(evaluate_loss(params, config, val_pairs))
+        with pytest.raises(RuntimeError, match="validation loss is inf at epoch 1"):
+            train(params, config, TrainConfig(epochs=2), pairs, val_pairs, callback=seen.append)
+    assert seen == []
