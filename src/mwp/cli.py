@@ -22,6 +22,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import synth
+from .atomic import write_text_atomic
 from .equation import DivisionByZero, ParseError, format_number, parse_equation, solve, to_canonical_string
 from .metrics import evaluate_corpus, format_results_table
 from .model import (
@@ -153,7 +154,7 @@ def _write_json(path: str | Path, payload: dict) -> None:
     out = Path(path)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_text_atomic(out, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 # --- commands ---------------------------------------------------------------
@@ -221,7 +222,7 @@ def cmd_train(args) -> int:
     history = Path(cfg.history_path)
     if history.parent != Path(""):
         history.parent.mkdir(parents=True, exist_ok=True)
-    history.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_text_atomic(history, "".join(line + "\n" for line in lines))
 
     ckpt_path = Path(cfg.checkpoint_path)
     if ckpt_path.parent != Path(""):

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import equation
+from .atomic import write_text_atomic
 from .preprocess import normalize_digits, normalize_text
 
 
@@ -281,4 +282,4 @@ def save_dataset(records: Sequence[MwpRecord], path: str | Path) -> None:
         if rec.answer is not None:
             obj["answer"] = str(rec.answer)
         lines.append(json.dumps(obj, ensure_ascii=False))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_file
 from ..preprocess import RESERVED_TOKENS, Vocab
 from .config import ModelConfig
 from .network import Parameters, parameter_shapes
@@ -41,7 +42,7 @@ def save_checkpoint(
     tgt_vocab: Vocab,
     extra: dict | None = None,
 ) -> None:
-    """Write params plus everything needed to decode with them."""
+    """Write params plus everything needed to decode with them, atomically."""
     manifest = [{"key": k, "shape": list(params[k].shape)} for k in sorted(params)]
     meta = {
         "version": FORMAT_VERSION,
@@ -52,12 +53,13 @@ def save_checkpoint(
         "extra": extra or {},
     }
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_file(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for entry in manifest:
-            fh.write(np.ascontiguousarray(params[entry["key"]], dtype=np.float64).tobytes())
+            # the array's own buffer, so no tensor is copied on the way out
+            fh.write(np.ascontiguousarray(params[entry["key"]], dtype=np.float64).data)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

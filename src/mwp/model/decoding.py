@@ -11,12 +11,15 @@ chunks, so a chunk pads little; padded source positions are masked.
 Greedy decodes ``GREEDY_CHUNK_SIZE`` records per chunk, and a row leaves
 the batch and the cache when it emits EOS. Beam search decodes
 ``BEAM_CHUNK_SIZE`` records per chunk: the live hypotheses of every record
-share one step, each gathering its cache row from its parent, and a record
-stops taking rows once all of its beams have finished. Each record still
-ranks its own hypotheses. Returned ids exclude BOS and EOS and come back
-in input order. Ties are broken toward the smaller token id, so decoding
-is fully deterministic; beam search with beam_size=1 reproduces greedy
-decoding exactly.
+share one step, each gathering its self-attention cache row from its
+parent, while all of a record's hypotheses share its one copy of the
+cross-attention keys and values. A record stops taking rows once all of
+its beams have finished. One log-softmax and one stable sort per step rank
+the next tokens of every live row; each record then keeps its own best
+hypotheses. Returned ids exclude BOS and EOS and come back in input
+order. Ties are broken toward the smaller token id, so decoding is fully
+deterministic; beam search with beam_size=1 reproduces greedy decoding
+exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .config import ModelConfig
 from .network import Parameters, decode_step, encode, start_decoding
 
 GREEDY_CHUNK_SIZE = 8
-BEAM_CHUNK_SIZE = 4  # records, so at most 4 * beam_size hypothesis rows per step
+BEAM_CHUNK_SIZE = 8  # records per chunk, so at most BEAM_CHUNK_SIZE * beam_size rows per step
 
 # beam hypothesis: (token tuple starting with BOS, summed logprob, finished,
 # cache row of the live parent it grew from); cache row r holds the r-th live
@@ -36,9 +39,10 @@ BEAM_CHUNK_SIZE = 4  # records, so at most 4 * beam_size hypothesis rows per ste
 Hypothesis = tuple[tuple[int, ...], float, bool, int]
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log probabilities along the last axis, each row on its own."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _one_source(src_ids) -> np.ndarray:
@@ -138,20 +142,21 @@ def beam_decode_batch(
             if not rows:
                 break
             cache = cache.select([h[3] for h in rows])
-            logits = decode_step(params, config, cache, [h[0][-1] for h in rows], pad_id=pad_id)
+            logp = _log_softmax(decode_step(params, config, cache, [h[0][-1] for h in rows], pad_id=pad_id))
+            top = np.argsort(-logp, axis=-1, kind="stable")[:, : beam_size + 1]
+            top_logp = np.take_along_axis(logp, top, axis=-1).tolist()
+            top = top.tolist()
             row = 0
             for r, live in enumerate(lives):
                 if not live:
                     continue
                 candidates = [h for h in beams[r] if h[2]]
                 for tokens, score, _, _ in live:
-                    logp = _log_softmax(logits[row])
-                    for token in np.argsort(-logp, kind="stable")[: beam_size + 1]:
-                        token = int(token)
+                    for token, token_logp in zip(top[row], top_logp[row]):
                         if token == eos_id:
-                            candidates.append((tokens, score + float(logp[token]), True, row))
+                            candidates.append((tokens, score + token_logp, True, row))
                         else:
-                            candidates.append((tokens + (token,), score + float(logp[token]), False, row))
+                            candidates.append((tokens + (token,), score + token_logp, False, row))
                     row += 1
                 candidates.sort(key=lambda h: (-h[1], h[0]))
                 beams[r] = candidates[:beam_size]

@@ -19,7 +19,8 @@ affine map from the decoder output.
 One encoder stack and one decoder block serve training and inference. The
 block runs T new target positions per row against a ``DecoderCache``, which
 holds cross-attention keys and values projected once from the encoder
-memory and gains each call's self-attention keys and values.
+memory, one row per record and shared by every decoded row of that record,
+and gains each call's self-attention keys and values.
 ``forward_with_tape`` runs it once over the whole target with a tape,
 ``decode_logits`` once over a prefix, and ``decode_step`` once per position.
 """
@@ -159,8 +160,10 @@ def _dropout_bwd(d_out, tape, key):
 
 
 def _ln_fwd(params, prefix, x, tape=None):
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
-    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    c = x - x.mean(axis=-1, keepdims=True)
+    # (c * c).mean is the reduction x.var runs, so this keeps its bits
+    inv = 1.0 / np.sqrt((c * c).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = c * inv
     if tape is not None:
         tape[prefix] = (xhat, inv)
     return params[f"{prefix}.g"] * xhat + params[f"{prefix}.b"]
@@ -182,9 +185,8 @@ def _ln_bwd(params, prefix, d_out, tape, grads):
 def _attend(params, prefix, q, k, v, mask):
     """Scaled dot-product attention over projected heads, then ``w_o``.
 
-    q is (B, H, T_q, K); k and v are (B, H, T_k, K), or (1, H, T_k, K) to
-    serve every row. Returns the output (B, T_q, D) plus the weights and
-    concatenated heads that backward needs.
+    q is (B, H, T_q, K); k and v are (B, H, T_k, K). Returns the output
+    (B, T_q, D) plus the weights and concatenated heads that backward needs.
     """
     scores = q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
     weights = masked_softmax(scores, mask)
@@ -411,22 +413,26 @@ def encode(params: Parameters, config: ModelConfig, src_ids, pad_id: int | None 
 
 
 class DecoderCache:
-    """What incremental decoding keeps between steps, one row per sequence.
+    """What incremental decoding keeps between steps.
 
     ``weights`` holds each decoder layer's fused self-attention query, key
     and value weights and cross-attention query weight (``_fuse_heads``),
     made once rather than at every step. ``cross`` holds each layer's
-    cross-attention keys and values, projected once from the encoder memory;
-    a batch of one serves every row and is never gathered. ``keys`` and
-    ``values`` hold each layer's self-attention keys and values for the
-    positions decoded so far, and ``key_ok`` (B, T) marks which of those
-    positions may be attended to.
+    cross-attention keys and values, projected once from the encoder
+    memory, one row per record; ``src_mask`` is their (records, 1, 1,
+    T_src) source mask. The decoded sequences are the rows: ``record``
+    maps each row to its record, or is None while row i is record i, so
+    several rows (a record's beam hypotheses) share one record's keys and
+    values. ``keys`` and ``values`` hold each layer's self-attention keys
+    and values for the positions decoded so far, one row per sequence, and
+    ``key_ok`` (rows, T) marks which of those positions may be attended to.
     """
 
-    def __init__(self, weights, cross, src_mask, keys, values, key_ok):
+    def __init__(self, weights, cross, src_mask, record, keys, values, key_ok):
         self.weights = weights
         self.cross = cross
         self.src_mask = src_mask
+        self.record = record
         self.keys = keys
         self.values = values
         self.key_ok = key_ok
@@ -436,16 +442,14 @@ class DecoderCache:
         return self.key_ok.shape[1]
 
     def select(self, rows) -> "DecoderCache":
-        """The cache of ``rows`` in that order; a row may repeat."""
+        """The cache of ``rows`` in that order; a row may repeat. The
+        records' keys, values and source mask are shared, not copied."""
         rows = np.asarray(rows, dtype=np.intp)
-
-        def take(a):
-            return a if a.shape[0] == 1 else a[rows]
-
         return DecoderCache(
             self.weights,
-            [(take(k), take(v)) for k, v in self.cross],
-            take(self.src_mask),
+            self.cross,
+            self.src_mask,
+            rows if self.record is None else self.record[rows],
             [k[rows] for k in self.keys],
             [v[rows] for v in self.values],
             self.key_ok[rows],
@@ -453,8 +457,12 @@ class DecoderCache:
 
 
 def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, batch: int | None = None) -> DecoderCache:
-    """An empty cache for ``batch`` rows (default: one per memory row)."""
+    """An empty cache for ``batch`` rows (default: one per memory row); a
+    memory of one record serves every row."""
     batch = memory.shape[0] if batch is None else batch
+    if memory.shape[0] not in (1, batch):
+        raise ValueError(f"a memory of {memory.shape[0]} records cannot serve {batch} rows")
+    record = None if memory.shape[0] == batch else np.zeros(batch, dtype=np.intp)
     n = config.n_decoder_layers
     weights = [
         tuple(_fuse_heads(params[f"dec{i}.{name}"]) for name in ("self.w_q", "self.w_k", "self.w_v", "cross.w_q"))
@@ -465,7 +473,7 @@ def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, ba
         for i in range(n)
     ]
     empty = np.empty((batch, config.n_heads, 0, config.d_k))
-    return DecoderCache(weights, cross, src_mask, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
+    return DecoderCache(weights, cross, src_mask, record, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
 
 
 def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, train=False, rng=None):
@@ -473,8 +481,9 @@ def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, t
 
     Appends the positions' self-attention keys and values to ``cache``. A
     position attends to the cached ones, itself and earlier new ones, but
-    never to a key whose token is ``pad_id``. Only the tape needs ``memory``,
-    which ``cache.cross`` was projected from.
+    never to a key whose token is ``pad_id``. Cross-attention gathers each
+    row's record from ``cache.cross`` by ``cache.record``. Only the tape
+    needs ``memory``, which ``cache.cross`` was projected from.
     """
     t0, t = cache.length, tgt.shape[1]
     if t0 + t > config.max_len:
@@ -488,6 +497,8 @@ def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, t
     pe = position_table(config.max_len, config.d_model)
     y = params["tgt_embed"][tgt] * np.sqrt(config.d_model) + pe[t0 : t0 + t]
     y = _dropout_fwd(y, p, train, rng, tape, "drop.tgt_embed")
+    record = cache.record
+    src_mask = cache.src_mask if record is None else cache.src_mask[record]
     for i in range(config.n_decoder_layers):
         prefix = f"dec{i}.self"
         w_q, w_k, w_v, cross_w_q = cache.weights[i]
@@ -496,7 +507,8 @@ def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, t
         a = _mha_fwd(params, prefix, y, y, y, self_mask, tape, kv=(cache.keys[i], cache.values[i]), w_q=w_q)
         a = _dropout_fwd(a, p, train, rng, tape, f"drop.{prefix}")
         y = _ln_fwd(params, f"dec{i}.ln1", y + a, tape)
-        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, cache.src_mask, tape, kv=cache.cross[i], w_q=cross_w_q)
+        cross = cache.cross[i] if record is None else tuple(kv[record] for kv in cache.cross[i])
+        c = _mha_fwd(params, f"dec{i}.cross", y, memory, memory, src_mask, tape, kv=cross, w_q=cross_w_q)
         c = _dropout_fwd(c, p, train, rng, tape, f"drop.dec{i}.cross")
         y = _ln_fwd(params, f"dec{i}.ln2", y + c, tape)
         f = _ff_fwd(params, f"dec{i}.ff", y, tape)

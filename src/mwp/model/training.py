@@ -17,7 +17,7 @@ from ..equation import parse_equation, to_canonical_string
 from ..preprocess import PAD_ID, Vocab, encode, tokenize
 from .config import ModelConfig, TrainConfig
 from .network import Parameters, backward, cross_entropy_loss, forward_with_tape
-from .optim import adam_step, clip_gradients, init_adam
+from .optim import adam_scratch, adam_update, clip_gradients, init_adam
 
 Pair = tuple[list[int], list[int]]
 
@@ -107,15 +107,19 @@ def train(
 ) -> TrainResult:
     """Run Adam over shuffled minibatches for the configured epoch count.
 
-    Returns the final parameters and per-epoch loss history. With epochs=0
-    the input parameters come back unchanged and the history is empty. A
-    non-finite training loss, non-finite parameters at the end of an epoch,
-    or a non-finite validation loss raise ``RuntimeError`` naming the epoch.
+    Returns the final parameters and per-epoch loss history; the input
+    parameters are never modified. With epochs=0 they come back as they
+    are and the history is empty. A non-finite training loss, non-finite
+    parameters at the end of an epoch, or a non-finite validation loss
+    raise ``RuntimeError`` naming the epoch.
     """
     if not train_pairs:
         raise ValueError("train needs at least one training pair")
     rng = np.random.default_rng(train_config.seed)
+    if train_config.epochs:  # updated in place from here on, so never the caller's arrays
+        params = {k: p.copy() for k, p in params.items()}
     state = init_adam(params)
+    scratch = adam_scratch(params)
     history: list[EpochStats] = []
     pad_id = PAD_ID
     for epoch in range(1, train_config.epochs + 1):
@@ -128,7 +132,7 @@ def train(
                 raise RuntimeError(f"training loss is {loss} at epoch {epoch}, step {step}")
             if train_config.clip_norm is not None:
                 grads, _ = clip_gradients(grads, train_config.clip_norm)
-            params, state = adam_step(params, grads, state, train_config)
+            adam_update(params, grads, state, train_config, scratch)
             n = int((tgt_out != pad_id).sum())
             total += loss * n
             tokens += n

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .atomic import write_text_atomic
+
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<bos>", "<eos>", "<unk>"
 RESERVED_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
@@ -112,7 +114,7 @@ class Vocab:
         return self.id_to_token[idx]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        write_text_atomic(path, "\n".join(self.id_to_token) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

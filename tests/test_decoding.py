@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from mwp.model import decoding
 from mwp.model.config import ModelConfig, TrainConfig
 from mwp.model.decoding import (
     BEAM_CHUNK_SIZE,
@@ -15,7 +16,16 @@ from mwp.model.decoding import (
     greedy_decode,
     greedy_decode_batch,
 )
-from mwp.model.network import decode_logits, encode, forward, init_parameters, position_table
+from mwp.model.network import (
+    DecoderCache,
+    decode_logits,
+    decode_step,
+    encode,
+    forward,
+    init_parameters,
+    position_table,
+    start_decoding,
+)
 from mwp.model.training import prepare_pairs, train
 from mwp.preprocess import BOS_ID, EOS_ID, PAD_ID, build_vocab, tokenize
 from mwp.synth import generate_synthetic
@@ -277,7 +287,9 @@ def test_cached_beam_matches_reference_on_trained_model(beam_size):
 
 
 @pytest.mark.parametrize("beam_size", [1, 2, 4])
-@pytest.mark.parametrize("n", [1, BEAM_CHUNK_SIZE, BEAM_CHUNK_SIZE + 1, 3 * BEAM_CHUNK_SIZE + 2])
+# 4, 5 and 14 fill part of a chunk or a chunk and a remainder; the rest sit
+# on the chunk boundaries
+@pytest.mark.parametrize("n", sorted({1, 4, 5, 14, BEAM_CHUNK_SIZE, BEAM_CHUNK_SIZE + 1, 3 * BEAM_CHUNK_SIZE + 2}))
 def test_batched_beam_matches_reference_on_random_models(n, beam_size):
     # sources of lengths 1..12 share chunks, so padded source positions must be masked
     for seed in range(2):
@@ -352,3 +364,83 @@ def test_position_table_is_cached_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
+
+
+# --- beam rows share their record's cross-attention keys and values ------------
+
+
+@pytest.mark.parametrize("chunk_size", [1, 4, 8, 16])
+def test_beam_ids_do_not_depend_on_chunk_size(chunk_size, monkeypatch):
+    # 19 mixed-length sources: chunks of every size pad differently and
+    # leave a short last chunk
+    monkeypatch.setattr(decoding, "BEAM_CHUNK_SIZE", chunk_size)
+    params, config = random_setup(150)
+    params["out.b"][EOS_ID] = 1.0
+    sources = mixed_sources(150, 19)
+    for beam_size in (2, 4):
+        want = [reference_beam(params, config, src, beam_size) for src in sources]
+        assert beam_decode_batch(params, config, sources, beam_size=beam_size) == want
+
+
+def test_select_shares_cross_keys_values_and_source_mask():
+    params, config = random_setup(151)
+    sources = [[5, 6, 7, 8], [4, 9], [3, 4, 5]]
+    src = np.array([s + [PAD_ID] * (4 - len(s)) for s in sources])
+    memory, src_mask = encode(params, config, src)
+    cache = start_decoding(params, config, memory, src_mask)
+    decode_step(params, config, cache, [BOS_ID] * 3)
+    beams = cache.select([2, 0, 2, 1])  # a record's hypotheses repeat its row
+    dropped = beams.select([3, 0])  # a greedy drop keeps a subset of rows
+    for selected, record in ((beams, [2, 0, 2, 1]), (dropped, [1, 2])):
+        assert selected.src_mask is cache.src_mask
+        for (k, v), (k0, v0) in zip(selected.cross, cache.cross):
+            assert k is k0 and v is v0
+        assert selected.record.tolist() == record
+    # each row decodes as its record would on its own
+    logits = decode_step(params, config, dropped, [7, 5])
+    for row, (record, token) in enumerate(zip([1, 2], [7, 5])):
+        alone = start_decoding(params, config, *encode(params, config, [sources[record]]))
+        decode_step(params, config, alone, [BOS_ID])
+        np.testing.assert_allclose(logits[row], decode_step(params, config, alone, [token])[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("decode", ["greedy", "beam"])
+def test_decoders_never_copy_cross_keys_and_values(decode, monkeypatch):
+    # every select during a real decode keeps the very same cross arrays and
+    # composes the row -> record index with the rows it picks
+    seen = []
+    select = DecoderCache.select
+
+    def checked_select(self, rows):
+        out = select(self, rows)
+        assert out.src_mask is self.src_mask
+        assert all(k is k0 and v is v0 for (k, v), (k0, v0) in zip(out.cross, self.cross))
+        before = np.arange(len(self.key_ok)) if self.record is None else self.record
+        assert out.record.tolist() == before[np.asarray(rows)].tolist()
+        assert out.record.max() < len(self.src_mask)
+        seen.append(len(rows))
+        return out
+
+    monkeypatch.setattr(DecoderCache, "select", checked_select)
+    params, config = random_setup(152)
+    params["out.b"][EOS_ID] = 2.0
+    sources = mixed_sources(152, 11)
+    if decode == "greedy":
+        got = greedy_decode_batch(params, config, sources)
+        assert got == [reference_greedy(params, config, src) for src in sources]
+    else:
+        got = beam_decode_batch(params, config, sources, beam_size=3)
+        assert got == [reference_beam(params, config, src, 3) for src in sources]
+    assert seen  # rows were dropped or regrouped at least once
+
+
+def test_memory_of_one_record_serves_every_row():
+    params, config = random_setup(153)
+    memory, src_mask = encode(params, config, [[5, 6, 7]])
+    prefixes = np.array([[BOS_ID, 4], [BOS_ID, 6]])
+    shared = decode_logits(params, config, memory, src_mask, prefixes)
+    repeated = decode_logits(params, config, np.repeat(memory, 2, axis=0), np.repeat(src_mask, 2, axis=0), prefixes)
+    np.testing.assert_allclose(shared, repeated, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="cannot serve"):
+        decode_logits(params, config, np.repeat(memory, 2, axis=0), np.repeat(src_mask, 2, axis=0),
+                      np.array([[BOS_ID]] * 3))

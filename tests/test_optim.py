@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mwp.model.config import TrainConfig
-from mwp.model.optim import adam_step, clip_gradients, global_norm, init_adam
+from mwp.model.optim import adam_scratch, adam_step, adam_update, clip_gradients, global_norm, init_adam
 
 
 def scalar_adam_oracle(grads, lr, b1, b2, eps):
@@ -141,3 +141,53 @@ def test_clip_never_exceeds_threshold():
         grads = {"g": rng.normal(size=rng.integers(1, 20)) * rng.uniform(0, 100)}
         clipped, _ = clip_gradients(grads, max_norm=2.5)
         assert global_norm(clipped) <= 2.5 * (1 + 1e-12)
+
+
+# --- in-place update -------------------------------------------------------------
+
+
+def reference_adam(params, grads, m, v, t, config):
+    """The textbook formulas, each expression computed afresh."""
+    b1, b2, eps, lr = config.beta1, config.beta2, config.eps, config.learning_rate
+    m = {k: b1 * m[k] + (1.0 - b1) * grads[k] for k in params}
+    v = {k: b2 * v[k] + (1.0 - b2) * grads[k] * grads[k] for k in params}
+    new = {}
+    for k, p in params.items():
+        m_hat = m[k] / (1.0 - b1**t)
+        v_hat = v[k] / (1.0 - b2**t)
+        new[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new, m, v
+
+
+def test_in_place_update_matches_textbook_and_adam_step_bit_for_bit():
+    config = TrainConfig(learning_rate=3e-3)
+    rng = np.random.default_rng(11)
+    shapes = {"w": (2, 5, 3), "m": (7, 4), "b": (4,), "s": ()}
+    # small and zero parameters keep the last bits of each step visible
+    scales = {"w": 1.0, "m": 1e-6, "b": 0.0, "s": 1e-9}
+    params = {k: np.array(rng.normal(size=shape) * scales[k]) for k, shape in shapes.items()}
+    grad_steps = [{k: rng.normal(size=shape) * 10.0**e for k, shape in shapes.items()} for e in (-3, 0, 2, -1, 1)]
+
+    zeros = {k: np.zeros(shape) for k, shape in shapes.items()}
+    ref, ref_m, ref_v = params, zeros, zeros
+    pure, pure_state = params, init_adam(params)
+    live = {k: p.copy() for k, p in params.items()}
+    state, scratch = init_adam(live), adam_scratch(live)
+    owned = [a for d in (live, state.m, state.v) for a in d.values()]
+    for t, grads in enumerate(grad_steps, start=1):
+        ref, ref_m, ref_v = reference_adam(ref, grads, ref_m, ref_v, t, config)
+        pure, pure_state = adam_step(pure, grads, pure_state, config)
+        adam_update(live, grads, state, config, scratch)
+        for key in shapes:
+            for got, want in ((live, ref), (state.m, ref_m), (state.v, ref_v), (pure, ref),
+                              (pure_state.m, ref_m), (pure_state.v, ref_v)):
+                assert got[key].tobytes() == want[key].tobytes()
+    assert state.t == pure_state.t == 5
+    # the update wrote into the arrays it was given
+    assert all(a is b for a, b in zip(owned, [a for d in (live, state.m, state.v) for a in d.values()]))
+
+
+def test_in_place_update_rejects_mismatched_keys():
+    params = {"w": np.array([1.0])}
+    with pytest.raises(ValueError, match="b"):
+        adam_update(params, {"b": np.array([1.0])}, init_adam(params), TrainConfig(), adam_scratch(params))

@@ -215,3 +215,16 @@ def test_infinite_validation_loss_stops_training():
         with pytest.raises(RuntimeError, match="validation loss is inf at epoch 1"):
             train(params, config, TrainConfig(epochs=2), pairs, val_pairs, callback=seen.append)
     assert seen == []
+
+
+def test_train_leaves_input_params_untouched():
+    # the optimizer updates its own copy in place
+    pairs, src_vocab, tgt_vocab = make_pairs(n=4)
+    config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
+                         dropout=0.0, **SMALL)
+    params = init_parameters(config, np.random.default_rng(3))
+    before = {k: p.copy() for k, p in params.items()}
+    result = train(params, config, TrainConfig(batch_size=2, epochs=2, seed=0), pairs)
+    for key in params:
+        np.testing.assert_array_equal(params[key], before[key])
+    assert any(not np.array_equal(result.params[key], before[key]) for key in params)
