@@ -121,7 +121,7 @@ def _train_once(
     # overflow and invalid-value warnings on the way there are not printed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         result = train(params, model_config, train_config, pairs, val_pairs, callback=callback)
-    return result.params, model_config, train_config, result.history
+    return result.params, model_config, train_config
 
 
 def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
@@ -144,16 +144,12 @@ def _load_checkpoint_file(path: str | Path) -> Checkpoint:
     file = Path(path)
     if not file.is_file():
         raise ds.DatasetError(f"checkpoint not found: {file}")
-    try:
-        return load_checkpoint(file)
-    except ValueError as exc:
-        raise ds.DatasetError(str(exc)) from exc
+    return load_checkpoint(file)  # a malformed file raises ValueError, a data error in main
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
     out = Path(path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
@@ -176,8 +172,7 @@ def cmd_datagen(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     ds.save_dataset(records, out)
     counts = ds.summarize(records)
     print(f"wrote {len(records)} records to {out}")
@@ -200,33 +195,29 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_run_config(args.config, args.seed)
     train_records = _load_records(cfg.train_path)
     val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
     src_vocab, tgt_vocab = _ensure_vocabs(cfg, train_records)
 
     lines: list[str] = []
 
-    def on_epoch(stats) -> None:
+    def on_epoch(stats, params) -> None:
         line = f"epoch={stats.epoch} train_loss={stats.train_loss:.6f}"
         if stats.val_loss is not None:
             line += f" val_loss={stats.val_loss:.6f}"
         lines.append(line)
         print(line)
 
-    params, model_config, train_config, _ = _train_once(
+    params, model_config, train_config = _train_once(
         cfg, train_records, val_records, src_vocab, tgt_vocab, callback=on_epoch
     )
     history = Path(cfg.history_path)
-    if history.parent != Path(""):
-        history.parent.mkdir(parents=True, exist_ok=True)
+    history.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(history, "".join(line + "\n" for line in lines))
 
     ckpt_path = Path(cfg.checkpoint_path)
-    if ckpt_path.parent != Path(""):
-        ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         ckpt_path,
         params,
@@ -246,9 +237,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_run_config(args.config, args.seed)
     test_path = args.in_path or cfg.test_path
     report_path = args.out or cfg.report_path
     beam = cfg.beam if args.beam is None else args.beam
@@ -312,54 +301,66 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _run_grid_cell(config_path: str | None, seed: int | None, batch_size: int, epochs: int) -> dict:
-    """Train and evaluate one grid cell; exceptions become an error row."""
-    row = {"model": "transformer", "batch_size": batch_size, "epochs": epochs}
+def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, epochs: tuple) -> list[dict]:
+    """Rows of the cells (batch_size, e) for e in epochs, in order, off one run to the largest e,
+    scored on the live parameters after each e. These equal a separate e-epoch run's: a shorter
+    run is an exact prefix of a longer one and decoding draws no random numbers. A scoring
+    failure marks its own cell, any other failure every cell not yet scored."""
+    scored: dict[int, dict] = {}
     try:
-        cfg = load_run_config(config_path)
-        if seed is not None:
-            cfg.seed = seed
+        cfg = load_run_config(config_path, seed)
         train_records = _load_records(cfg.train_path)
         val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
         test_records = _load_records(cfg.test_path)
         src_vocab, tgt_vocab = _ensure_vocabs(cfg, train_records)
-        params, model_config, _, _ = _train_once(
-            cfg, train_records, val_records, src_vocab, tgt_vocab, batch_size=batch_size, epochs=epochs
-        )
-        ckpt = Checkpoint(params=params, config=model_config, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
-        predictions = _predict_with_checkpoint(ckpt, test_records, cfg.beam)
-        report = evaluate_corpus(predictions, test_records, tolerance=Fraction(cfg.tolerance))
-        row.update(bleu=report.corpus_bleu, accuracy=report.solution_accuracy)
-    except Exception as exc:  # cell failures must not kill the remaining cells
-        row["error"] = str(exc)
-    return row
+        model_config = cfg.model_config(len(src_vocab), len(tgt_vocab))
+
+        def score(epoch: int, params) -> None:
+            if epoch not in epochs:
+                return
+            try:
+                ckpt = Checkpoint(params=params, config=model_config, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
+                predictions = _predict_with_checkpoint(ckpt, test_records, cfg.beam)
+                report = evaluate_corpus(predictions, test_records, tolerance=Fraction(cfg.tolerance))
+                scored[epoch] = {"bleu": report.corpus_bleu, "accuracy": report.solution_accuracy}
+            except Exception as exc:  # a cell failure must not kill the remaining cells
+                scored[epoch] = {"error": str(exc)}
+
+        run = (cfg, train_records, val_records, src_vocab, tgt_vocab, batch_size)
+        if 0 in epochs:  # train calls back after each epoch only, so a 0-epoch cell gets its own run
+            score(0, _train_once(*run, epochs=0)[0])
+        if max(epochs) > 0:
+            _train_once(*run, epochs=max(epochs), callback=lambda stats, params: score(stats.epoch, params))
+    except Exception as exc:
+        scored = {e: scored.get(e, {"error": str(exc)}) for e in epochs}
+    row = {"model": "transformer", "batch_size": batch_size}
+    return [{**row, "epochs": e, **scored[e]} for e in epochs]
 
 
-def _grid_workers(cells: int) -> int:
-    """One process per cell, at most one per CPU this process may run on."""
+def _grid_workers(batch_sizes: int) -> int:
+    """One process per batch size, at most one per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cells, cpus)
+    return min(batch_sizes, cpus)
 
 
 def cmd_grid(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    # build vocabs up front so concurrent cells never race on the files
-    train_records = _load_records(cfg.train_path)
-    _ensure_vocabs(cfg, train_records)
-    cells = [(b, e) for b in cfg.grid_batch_sizes for e in cfg.grid_epochs]
-    parallel = cfg.grid_parallel or args.parallel
-    if parallel:
-        with ProcessPoolExecutor(max_workers=_grid_workers(len(cells))) as pool:
-            rows = list(
-                pool.map(_run_grid_cell, *zip(*[(args.config, cfg.seed, b, e) for b, e in cells]))
-            )
+    cfg = load_run_config(args.config, args.seed)
+    for b in cfg.grid_batch_sizes:  # a bad cell is a config error, found before any training
+        for e in cfg.grid_epochs:
+            cfg.train_config(batch_size=b, epochs=e)
+    # build vocabs up front so concurrent workers never race on the files
+    _ensure_vocabs(cfg, _load_records(cfg.train_path))
+    batch_sizes = list(dict.fromkeys(cfg.grid_batch_sizes))
+    jobs = [(args.config, cfg.seed, b, cfg.grid_epochs) for b in batch_sizes]
+    if args.parallel:
+        with ProcessPoolExecutor(max_workers=_grid_workers(len(jobs))) as pool:
+            runs = dict(zip(batch_sizes, pool.map(_run_grid_batch, *zip(*jobs))))
     else:
-        rows = [_run_grid_cell(args.config, cfg.seed, b, e) for b, e in cells]
+        runs = {b: _run_grid_batch(*job) for b, job in zip(batch_sizes, jobs)}
+    rows = [row for b in cfg.grid_batch_sizes for row in runs[b]]
     _write_json(cfg.grid_report_path, {"seed": cfg.seed, "rows": rows})
     print(format_results_table(rows))
     print(f"grid report written to {cfg.grid_report_path}")
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="train/eval every batch-size x epochs cell")
     p.add_argument("--config", help="run config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--parallel", action="store_true", help="run cells concurrently")
+    p.add_argument("--parallel", action="store_true", help="train the batch sizes concurrently")
     p.set_defaults(func=cmd_grid)
     return parser
 

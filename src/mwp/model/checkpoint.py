@@ -102,6 +102,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += nbytes
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after tensor data")
+    # per copy: one 1 MB temporary over the whole byte buffer made repeated loads ~12 ms slower
+    if not all(np.isfinite(p).all() for p in params.values()):
+        raise ValueError(f"{path}: checkpoint tensors hold non-finite values")
     return Checkpoint(params=params, config=config, src_vocab=src_vocab, tgt_vocab=tgt_vocab, extra=extra)
 
 

@@ -103,7 +103,7 @@ def train(
     train_config: TrainConfig,
     train_pairs: Sequence[Pair],
     val_pairs: Sequence[Pair] | None = None,
-    callback: Callable[[EpochStats], None] | None = None,
+    callback: Callable[[EpochStats, Parameters], None] | None = None,
 ) -> TrainResult:
     """Run Adam over shuffled minibatches for the configured epoch count.
 
@@ -111,7 +111,10 @@ def train(
     parameters are never modified. With epochs=0 they come back as they
     are and the history is empty. A non-finite training loss, non-finite
     parameters at the end of an epoch, or a non-finite validation loss
-    raise ``RuntimeError`` naming the epoch.
+    raise ``RuntimeError`` naming the epoch. ``callback(stats, params)`` runs
+    after each epoch's checks pass, with the live parameters: training goes on
+    updating those arrays in place, so the callback must neither keep nor
+    change them.
     """
     if not train_pairs:
         raise ValueError("train needs at least one training pair")
@@ -146,5 +149,5 @@ def train(
         stats = EpochStats(epoch=epoch, train_loss=total / tokens, val_loss=val_loss)
         history.append(stats)
         if callback is not None:
-            callback(stats)
+            callback(stats, params)
     return TrainResult(params=params, history=history)

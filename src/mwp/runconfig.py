@@ -50,15 +50,6 @@ def _as_float(value: str) -> float:
         raise ConfigError(f"expected a number, got {value!r}") from exc
 
 
-def _as_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected true/false, got {value!r}")
-
-
 def _as_opt_float(value: str) -> float | None:
     return None if value.lower() == "none" else _as_float(value)
 
@@ -122,7 +113,6 @@ class RunConfig:
     # hyperparameter grid
     grid_batch_sizes: tuple[int, ...] = (8, 16)
     grid_epochs: tuple[int, ...] = (5, 10, 15)
-    grid_parallel: bool = False
 
     def model_config(self, src_vocab_size: int, tgt_vocab_size: int) -> ModelConfig:
         try:
@@ -184,7 +174,6 @@ _KEYS = {
     "eval.beam": ("beam", _as_int),
     "grid.batch_sizes": ("grid_batch_sizes", _as_int_list),
     "grid.epochs": ("grid_epochs", _as_int_list),
-    "grid.parallel": ("grid_parallel", _as_bool),
 }
 
 
@@ -201,11 +190,15 @@ def run_config_from_mapping(mapping: dict[str, str], source: str = "<config>") -
     return config
 
 
-def load_run_config(path: str | Path | None) -> RunConfig:
-    """Config from a file, or pure defaults when no path is given."""
-    if path is None:
-        return RunConfig()
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"config file not found: {file}")
-    return run_config_from_mapping(parse_config_text(file.read_text(encoding="utf-8"), str(file)), str(file))
+def load_run_config(path: str | Path | None, seed: int | None = None) -> RunConfig:
+    """Config from a file, or pure defaults when no path is given; a seed other
+    than None replaces the configured one (the ``--seed`` flag)."""
+    config = RunConfig()
+    if path is not None:
+        file = Path(path)
+        if not file.is_file():
+            raise ConfigError(f"config file not found: {file}")
+        config = run_config_from_mapping(parse_config_text(file.read_text(encoding="utf-8"), str(file)), str(file))
+    if seed is not None:
+        config.seed = seed
+    return config

@@ -2,13 +2,19 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mwp.cli
+import mwp.model.training
 from mwp import dataset as ds
 from mwp.cli import _grid_workers, main
+from mwp.model.checkpoint import MAGIC
 from mwp.runconfig import (
     ConfigError,
     load_run_config,
@@ -106,6 +112,24 @@ def test_defaults_used_without_config_file():
     assert cfg.epochs == 15
     assert cfg.learning_rate == 1e-4
     assert cfg.dropout == 0.1
+
+
+def test_seed_argument_replaces_config_seed(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 5\n", encoding="utf-8")
+    assert load_run_config(config).seed == 5
+    assert load_run_config(config, 9).seed == 9
+    assert load_run_config(None, 9).seed == 9
+
+
+def test_grid_parallel_key_is_gone(tmp_path, capsys):
+    # --parallel is the one switch for concurrent grid runs
+    with pytest.raises(ConfigError, match="unknown key 'grid.parallel'"):
+        run_config_from_mapping({"grid.parallel": "true"})
+    config = tmp_path / "run.cfg"
+    config.write_text("grid.parallel = true\n", encoding="utf-8")
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "unknown key 'grid.parallel'" in capsys.readouterr().err
 
 
 # --- datagen ----------------------------------------------------------------------
@@ -449,3 +473,144 @@ def test_grid_workers_capped_by_usable_cpus(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert _grid_workers(6) == 3
+
+
+def grid_rows(tmp_path, batch_sizes, epochs, *flags):
+    """Exit code and grid.json rows of one grid run on the split under tmp_path."""
+    config = write_config(tmp_path, extra=f"grid.batch_sizes = {batch_sizes}\ngrid.epochs = {epochs}\n")
+    code = main(["grid", "--config", str(config), *flags])
+    return code, json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))["rows"]
+
+
+def count_train_calls(monkeypatch):
+    """Record (batch_size, epochs) of every mwp.cli.train call."""
+    calls = []
+    real_train = mwp.cli.train
+
+    def counted(params, config, train_config, *args, **kwargs):
+        calls.append((train_config.batch_size, train_config.epochs))
+        return real_train(params, config, train_config, *args, **kwargs)
+
+    monkeypatch.setattr(mwp.cli, "train", counted)
+    return calls
+
+
+def test_grid_shares_one_run_across_epochs(tmp_path):
+    make_parts(tmp_path)
+    code, shared = grid_rows(tmp_path, "4", "1,2")
+    assert code == 0
+    assert shared == grid_rows(tmp_path, "4", "1")[1] + grid_rows(tmp_path, "4", "2")[1]
+
+
+def test_grid_keeps_unsorted_duplicate_and_zero_epoch_cells(tmp_path):
+    make_parts(tmp_path)
+    code, shared = grid_rows(tmp_path, "4", "2,0,1,2")
+    assert code == 0
+    assert [r["epochs"] for r in shared] == [2, 0, 1, 2]
+    assert shared == [grid_rows(tmp_path, "4", str(e))[1][0] for e in (2, 0, 1, 2)]
+
+
+def test_grid_trains_once_per_batch_size(tmp_path, monkeypatch):
+    make_parts(tmp_path)
+    calls = count_train_calls(monkeypatch)
+    code, rows = grid_rows(tmp_path, "2,4,2", "3,1")
+    assert code == 0
+    assert calls == [(2, 3), (4, 3)]
+    assert [(r["batch_size"], r["epochs"]) for r in rows] == [(2, 3), (2, 1), (4, 3), (4, 1), (2, 3), (2, 1)]
+    assert rows[4:] == rows[:2]
+
+
+def test_grid_parallel_matches_serial(tmp_path):
+    make_parts(tmp_path)
+    assert grid_rows(tmp_path, "2,4", "2,1")[0] == 0
+    serial = (tmp_path / "grid.json").read_bytes()
+    assert grid_rows(tmp_path, "2,4", "2,1", "--parallel")[0] == 0
+    assert (tmp_path / "grid.json").read_bytes() == serial
+
+
+def test_grid_mid_run_nan_fails_only_later_cells(tmp_path, monkeypatch):
+    real_update = mwp.model.training.adam_update
+
+    def nan_at_step(step):
+        calls = []
+
+        def update(params, *args, **kwargs):
+            real_update(params, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == step:
+                params["out.b"][0] = np.nan
+
+        return update
+
+    make_parts(tmp_path)
+
+    def rows(epochs):
+        # a fresh step count per grid, as every grid here trains one run
+        monkeypatch.setattr(mwp.model.training, "adam_update", nan_at_step(4))
+        return grid_rows(tmp_path, "4", epochs)
+
+    code, shared = rows("1,3,2")
+    assert code == 4
+    assert shared == rows("1")[1] + rows("3")[1] + rows("2")[1]
+    assert "error" not in shared[0]
+    assert "training loss is nan at epoch 2" in shared[1]["error"]
+    assert shared[1]["error"] == shared[2]["error"]
+
+
+@pytest.mark.parametrize("extra", ["grid.batch_sizes = 4,0\ngrid.epochs = 1\n",
+                                   "grid.batch_sizes = 4\ngrid.epochs = 1,-1\n"],
+                         ids=["batch-size-0", "negative-epochs"])
+def test_grid_bad_cell_is_config_error_before_training(tmp_path, capsys, monkeypatch, extra):
+    make_parts(tmp_path)
+    calls = count_train_calls(monkeypatch)
+    config = write_config(tmp_path, extra=extra)
+    assert main(["grid", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert calls == []
+    assert not (tmp_path / "grid.json").exists()
+
+
+# --- damaged checkpoints ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A split, config and checkpoint written by mwp train, plus the checkpoint's bytes."""
+    root = tmp_path_factory.mktemp("trained")
+    make_parts(root)
+    write_config(root)
+    assert main(["train", "--config", str(root / "run.cfg")]) == 0
+    return root, (root / "model.ckpt").read_bytes()
+
+
+def eval_damaged(root, blob):
+    damaged = root / "damaged.ckpt"
+    damaged.write_bytes(blob)
+    return main(["eval", "--config", str(root / "run.cfg"), "--checkpoint", str(damaged),
+                 "--out", str(root / "damaged.json")])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_eval_refuses_non_finite_checkpoint_tensor(trained, capsys, value, where):
+    root, blob = trained
+    (meta_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    at = len(MAGIC) + 8 + meta_len if where == "first" else len(blob) - 8
+    assert eval_damaged(root, blob[:at] + struct.pack("<d", value) + blob[at + 8:]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+# a flipped exponent bit can leave a huge but finite weight, which decodes
+# with numpy overflow warnings and exits 0
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eval_survives_truncated_or_flipped_checkpoint(trained, data):
+    root, blob = trained
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        flipped = blob[at] ^ data.draw(st.integers(1, 255), label="xor")
+        damaged = blob[:at] + bytes([flipped]) + blob[at + 1:]
+    assert eval_damaged(root, damaged) in (0, 3)

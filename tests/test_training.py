@@ -188,8 +188,22 @@ def test_callback_sees_every_epoch():
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(6))
     seen = []
-    train(params, config, TrainConfig(epochs=3), pairs, callback=lambda s: seen.append(s.epoch))
+    train(params, config, TrainConfig(epochs=3), pairs, callback=lambda s, p: seen.append(s.epoch))
     assert seen == [1, 2, 3]
+
+
+def test_callback_params_equal_a_shorter_run():
+    # the prefix property mwp grid relies on to score every epoch off one run
+    pairs, src_vocab, tgt_vocab = make_pairs(n=4)
+    config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), **SMALL)
+    params = init_parameters(config, np.random.default_rng(6))
+    seen = {}
+    train(params, config, TrainConfig(batch_size=2, epochs=3), pairs,
+          callback=lambda s, p: seen.update({s.epoch: {k: v.copy() for k, v in p.items()}}))
+    for epochs in (1, 2):
+        shorter = train(params, config, TrainConfig(batch_size=2, epochs=epochs), pairs).params
+        for key in shorter:
+            np.testing.assert_array_equal(seen[epochs][key], shorter[key])
 
 
 def test_empty_training_set_rejected():
@@ -213,7 +227,7 @@ def test_infinite_validation_loss_stops_training():
     with np.errstate(over="ignore"):
         assert np.isinf(evaluate_loss(params, config, val_pairs))
         with pytest.raises(RuntimeError, match="validation loss is inf at epoch 1"):
-            train(params, config, TrainConfig(epochs=2), pairs, val_pairs, callback=seen.append)
+            train(params, config, TrainConfig(epochs=2), pairs, val_pairs, callback=lambda s, p: seen.append(s))
     assert seen == []
 
 
