@@ -133,10 +133,13 @@ def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
         if len(src) > ckpt.config.max_len:
             raise ds.DatasetError(f"record {rec.id!r} exceeds max_len={ckpt.config.max_len}")
         sources.append(src)
-    if beam > 0:
-        decoded = beam_decode_batch(ckpt.params, ckpt.config, sources, beam_size=beam)
-    else:
-        decoded = greedy_decode_batch(ckpt.params, ckpt.config, sources)
+    # decoding stops at non-finite logits with one ValueError (exit 3), so numpy's
+    # overflow warnings from huge but finite weights on the way there are not printed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if beam > 0:
+            decoded = beam_decode_batch(ckpt.params, ckpt.config, sources, beam_size=beam)
+        else:
+            decoded = greedy_decode_batch(ckpt.params, ckpt.config, sources)
     return [" ".join(decode(ids, ckpt.tgt_vocab, strip_special=True).tokens) for ids in decoded]
 
 

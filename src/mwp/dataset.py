@@ -226,6 +226,8 @@ def _parse_answer(value) -> Fraction:
         raise ValueError(f"bad answer value: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return Fraction(int(value))  # the value Fraction(value) gives, about 3x faster
     if isinstance(value, (float, str)):
         return Fraction(str(value))
     raise ValueError(f"bad answer value: {value!r}")

@@ -15,6 +15,7 @@ rounds. Unary minus is not part of the grammar.
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -99,48 +100,46 @@ class Equation:
 
 # --- lexer ------------------------------------------------------------
 
-_SYMBOLS = set("=+-*/()")
+_SYMBOLS = frozenset("=+-*/()")
+_DIGITS = frozenset("0123456789")
+_ALNUM = frozenset(string.ascii_letters) | _DIGITS
+_ADD_OPS = {"+": Op.ADD, "-": Op.SUB}
+_MUL_OPS = {"*": Op.MUL, "/": Op.DIV}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | NUMBER | SYMBOL | END
-    text: str
-    offset: int
+# A token is (kind, text, offset), kind one of IDENT, NUMBER, SYMBOL, END.
+_Token = tuple[str, str, int]
 
 
 def _lex(s: str) -> list[_Token]:
     tokens: list[_Token] = []
+    append = tokens.append
     i, n = 0, len(s)
     while i < n:
         ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _SYMBOLS:
-            tokens.append(_Token("SYMBOL", ch, i))
+            append(("SYMBOL", ch, i))
             i += 1
-            continue
-        if ch.isascii() and ch.isalpha():
+        elif ch in _DIGITS:
             j = i + 1
-            while j < n and s[j].isascii() and s[j].isalnum():
+            while j < n and s[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("IDENT", s[i:j].lower(), i))
-            i = j
-            continue
-        if ch.isascii() and ch.isdigit():
-            j = i + 1
-            while j < n and s[j].isascii() and s[j].isdigit():
-                j += 1
-            if j < n - 1 and s[j] == "." and s[j + 1].isascii() and s[j + 1].isdigit():
+            if j < n - 1 and s[j] == "." and s[j + 1] in _DIGITS:
                 j += 2
-                while j < n and s[j].isascii() and s[j].isdigit():
+                while j < n and s[j] in _DIGITS:
                     j += 1
-            tokens.append(_Token("NUMBER", s[i:j], i))
+            append(("NUMBER", s[i:j], i))
             i = j
-            continue
-        raise UnexpectedToken(f"unexpected character {ch!r}", offset=i)
-    tokens.append(_Token("END", "", n))
+        elif ch in _ALNUM:
+            j = i + 1
+            while j < n and s[j] in _ALNUM:
+                j += 1
+            append(("IDENT", s[i:j].lower(), i))
+            i = j
+        elif ch.isspace():
+            i += 1
+        else:
+            raise UnexpectedToken(f"unexpected character {ch!r}", offset=i)
+    append(("END", "", n))
     return tokens
 
 
@@ -152,67 +151,63 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.i += 1
-        return tok
-
     def parse_equation(self) -> Equation:
-        if self.cur.kind != "IDENT":
-            raise UnexpectedToken(
-                f"expected a variable name, found {self.cur.text or 'end of input'!r}",
-                offset=self.cur.offset,
-            )
-        variable = self.advance().text
-        if not (self.cur.kind == "SYMBOL" and self.cur.text == "="):
-            raise MissingEquals("expected '=' after the variable", offset=self.cur.offset)
-        self.advance()
-        if self.cur.kind == "END":
-            raise EmptyExpression("nothing after '='", offset=self.cur.offset)
+        kind, text, offset = self.tokens[0]
+        if kind != "IDENT":
+            raise UnexpectedToken(f"expected a variable name, found {text or 'end of input'!r}", offset=offset)
+        variable = text
+        kind, text, offset = self.tokens[1]
+        if text != "=":
+            raise MissingEquals("expected '=' after the variable", offset=offset)
+        self.i = 2
+        kind, text, offset = self.tokens[2]
+        if kind == "END":
+            raise EmptyExpression("nothing after '='", offset=offset)
         rhs = self.parse_expr()
-        if self.cur.kind != "END":
-            if self.cur.text == ")":
-                raise ParenMismatch("unmatched ')'", offset=self.cur.offset)
-            raise TrailingInput(f"unexpected trailing {self.cur.text!r}", offset=self.cur.offset)
+        kind, text, offset = self.tokens[self.i]
+        if kind != "END":
+            if text == ")":
+                raise ParenMismatch("unmatched ')'", offset=offset)
+            raise TrailingInput(f"unexpected trailing {text!r}", offset=offset)
         return Equation(variable=variable, rhs=rhs)
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.cur.kind == "SYMBOL" and self.cur.text in "+-":
-            op_tok = self.advance()
-            right = self.parse_term()
-            op = Op.ADD if op_tok.text == "+" else Op.SUB
-            node = BinOp(op, node, right, pos=op_tok.offset)
+        op = _ADD_OPS.get(self.tokens[self.i][1])
+        while op is not None:
+            pos = self.tokens[self.i][2]
+            self.i += 1
+            node = BinOp(op, node, self.parse_term(), pos=pos)
+            op = _ADD_OPS.get(self.tokens[self.i][1])
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.cur.kind == "SYMBOL" and self.cur.text in "*/":
-            op_tok = self.advance()
-            right = self.parse_factor()
-            op = Op.MUL if op_tok.text == "*" else Op.DIV
-            node = BinOp(op, node, right, pos=op_tok.offset)
+        op = _MUL_OPS.get(self.tokens[self.i][1])
+        while op is not None:
+            pos = self.tokens[self.i][2]
+            self.i += 1
+            node = BinOp(op, node, self.parse_factor(), pos=pos)
+            op = _MUL_OPS.get(self.tokens[self.i][1])
         return node
 
     def parse_factor(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Num(Fraction(tok.text), pos=tok.offset)
-        if tok.kind == "SYMBOL" and tok.text == "(":
-            self.advance()
+        kind, text, offset = self.tokens[self.i]
+        if kind == "NUMBER":
+            self.i += 1
+            # for digits alone, Fraction(int(text)) is Fraction(text), about 3x faster
+            return Num(Fraction(text) if "." in text else Fraction(int(text)), pos=offset)
+        if text == "(":
+            self.i += 1
             node = self.parse_expr()
-            if not (self.cur.kind == "SYMBOL" and self.cur.text == ")"):
-                raise ParenMismatch("expected ')'", offset=self.cur.offset)
-            self.advance()
+            kind, text, offset = self.tokens[self.i]
+            if text != ")":
+                raise ParenMismatch("expected ')'", offset=offset)
+            self.i += 1
             return node
-        if tok.kind == "END":
-            raise UnexpectedToken("unexpected end of input", offset=tok.offset)
-        raise UnexpectedToken(f"unexpected {tok.text!r}", offset=tok.offset)
+        if kind == "END":
+            raise UnexpectedToken("unexpected end of input", offset=offset)
+        raise UnexpectedToken(f"unexpected {text!r}", offset=offset)
 
 
 def parse_equation(s: str) -> Equation:
@@ -223,7 +218,7 @@ def parse_equation(s: str) -> Equation:
     """
     normalized = normalize_digits(s, "bengali_to_ascii")
     tokens = _lex(normalized)
-    if not any(t.kind == "SYMBOL" and t.text == "=" for t in tokens):
+    if "=" not in normalized:  # once lexed, every '=' is a SYMBOL token
         raise MissingEquals("no '=' in input", offset=len(s))
     return _Parser(tokens).parse_equation()
 
@@ -277,10 +272,10 @@ def format_number(value: Fraction) -> str:
     Only non-negative rationals with a terminating decimal expansion are
     representable in the grammar; anything else raises ``ValueError``.
     """
+    if value.denominator == 1 and value.numerator >= 0:
+        return str(value.numerator)
     if value < 0:
         raise ValueError(f"negative literal {value} is not representable")
-    if value.denominator == 1:
-        return str(value.numerator)
     den = value.denominator
     twos = fives = 0
     while den % 2 == 0:

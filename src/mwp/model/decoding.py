@@ -19,7 +19,8 @@ the next tokens of every live row; each record then keeps its own best
 hypotheses. Returned ids exclude BOS and EOS and come back in input
 order. Ties are broken toward the smaller token id, so decoding is fully
 deterministic; beam search with beam_size=1 reproduces greedy decoding
-exactly.
+exactly. A step whose logits are not all finite raises ``ValueError``: the
+weights overflow, so no prediction from them means anything.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log probabilities along the last axis, each row on its own."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _finite(logits: np.ndarray, step: int) -> np.ndarray:
+    """``logits``, unless some are not finite: then the weights overflow."""
+    if not np.isfinite(logits).all():
+        raise ValueError(f"decoding step {step} gave non-finite logits; the model weights overflow")
+    return logits
 
 
 def _one_source(src_ids) -> np.ndarray:
@@ -84,8 +92,9 @@ def greedy_decode_batch(
     for chunk, cache in _encoded_chunks(params, config, sources, GREEDY_CHUNK_SIZE, pad_id):
         live = np.array(chunk)
         tokens = np.full(len(chunk), bos_id, dtype=np.int64)
-        for _ in range(limit):
-            tokens = np.argmax(decode_step(params, config, cache, tokens, pad_id=pad_id), axis=-1)
+        for step in range(1, limit + 1):
+            logits = _finite(decode_step(params, config, cache, tokens, pad_id=pad_id), step)
+            tokens = np.argmax(logits, axis=-1)
             going = tokens != eos_id
             for i, token in zip(live[going], tokens[going]):
                 results[i].append(int(token))
@@ -135,14 +144,15 @@ def beam_decode_batch(
     results: list[list[int]] = [[] for _ in sources]
     for chunk, cache in _encoded_chunks(params, config, sources, BEAM_CHUNK_SIZE, pad_id):
         beams: list[list[Hypothesis]] = [[((bos_id,), 0.0, False, row)] for row in range(len(chunk))]
-        for _ in range(limit):
+        for step in range(1, limit + 1):
             # a record whose beams have all finished has no live rows left
             lives = [[h for h in record if not h[2]] for record in beams]
             rows = [h for live in lives for h in live]
             if not rows:
                 break
             cache = cache.select([h[3] for h in rows])
-            logp = _log_softmax(decode_step(params, config, cache, [h[0][-1] for h in rows], pad_id=pad_id))
+            logits = decode_step(params, config, cache, [h[0][-1] for h in rows], pad_id=pad_id)
+            logp = _log_softmax(_finite(logits, step))
             top = np.argsort(-logp, axis=-1, kind="stable")[:, : beam_size + 1]
             top_logp = np.take_along_axis(logp, top, axis=-1).tolist()
             top = top.tolist()

@@ -118,9 +118,10 @@ def train(
     """
     if not train_pairs:
         raise ValueError("train needs at least one training pair")
+    if not train_config.epochs:
+        return TrainResult(params=params)
     rng = np.random.default_rng(train_config.seed)
-    if train_config.epochs:  # updated in place from here on, so never the caller's arrays
-        params = {k: p.copy() for k, p in params.items()}
+    params = {k: p.copy() for k, p in params.items()}  # updated in place, so never the caller's arrays
     state = init_adam(params)
     scratch = adam_scratch(params)
     history: list[EpochStats] = []

@@ -49,21 +49,24 @@ def normalize_text(s: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) ->
     A period flanked by digits on both sides is kept in place so decimal
     literals like ``2.5`` survive as one token. Idempotent.
     """
+    return " ".join(_spaced(s, punctuation).split())
+
+
+def _spaced(s: str, punctuation: frozenset[str]) -> str:
+    """``s`` lowercased with a space on each side of every punctuation mark
+    but a period between two digits (``str.isdigit``, so ``²`` counts)."""
     s = s.lower()
-    out: list[str] = []
-    for i, ch in enumerate(s):
-        if ch in punctuation:
-            if ch == "." and _is_digit(s, i - 1) and _is_digit(s, i + 1):
-                out.append(ch)
-            else:
-                out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
-
-
-def _is_digit(s: str, i: int) -> bool:
-    return 0 <= i < len(s) and s[i].isdigit()
+    if "." in s and "." in punctuation:
+        parts = s.split(".")
+        out = [parts[0]]
+        for left, right in zip(parts, parts[1:]):
+            out.append("." if left[-1:].isdigit() and right[:1].isdigit() else " . ")
+            out.append(right)
+        s = "".join(out)
+    for ch in punctuation:
+        if ch in s and ch != "." and len(ch) == 1:
+            s = s.replace(ch, f" {ch} ")
+    return s
 
 
 @dataclass
@@ -79,7 +82,7 @@ class TokenSequence:
 
 def tokenize(s: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> TokenSequence:
     """Normalize ``s`` and split on spaces. Never yields empty tokens."""
-    return TokenSequence(tokens=normalize_text(s, punctuation).split())
+    return TokenSequence(tokens=_spaced(s, punctuation).split())
 
 
 class Vocab:
@@ -144,7 +147,8 @@ def build_vocab(corpus: Iterable[TokenSequence | Sequence[str]], min_freq: int =
 def encode(seq: TokenSequence | Sequence[str], vocab: Vocab, add_bos_eos: bool = False) -> list[int]:
     """Map tokens to ids; unknown tokens become UNK."""
     tokens = seq.tokens if isinstance(seq, TokenSequence) else seq
-    ids = [vocab.id_of(t) for t in tokens]
+    id_of = vocab.token_to_id.get
+    ids = [id_of(t, UNK_ID) for t in tokens]
     if add_bos_eos:
         return [BOS_ID] + ids + [EOS_ID]
     return ids

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import mwp.cli
 import mwp.model.training
 from mwp import dataset as ds
 from mwp.cli import _grid_workers, main
-from mwp.model.checkpoint import MAGIC
+from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mwp.preprocess import DANDA
 from mwp.runconfig import (
     ConfigError,
     load_run_config,
@@ -601,7 +603,7 @@ def test_eval_refuses_non_finite_checkpoint_tensor(trained, capsys, value, where
 
 
 # a flipped exponent bit can leave a huge but finite weight, which decodes
-# with numpy overflow warnings and exits 0
+# to garbage and exits 0, or to non-finite logits and exits 3
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
@@ -614,3 +616,25 @@ def test_eval_survives_truncated_or_flipped_checkpoint(trained, data):
         flipped = blob[at] ^ data.draw(st.integers(1, 255), label="xor")
         damaged = blob[:at] + bytes([flipped]) + blob[at + 1:]
     assert eval_damaged(root, damaged) in (0, 3)
+
+
+def test_huge_weight_is_one_data_error_line(trained, capsys):
+    root, blob = trained
+    ckpt = load_checkpoint(root / "model.ckpt")
+    # the danda ends every problem; its huge embedding overflows attention scores
+    ckpt.params["src_embed"][ckpt.src_vocab.id_of(DANDA), 0] = 1e300
+    huge = root / "huge.ckpt"
+    save_checkpoint(huge, ckpt.params, ckpt.config, ckpt.src_vocab, ckpt.tgt_vocab, ckpt.extra)
+    problem = ds.load_dataset(root / "parts" / "test.jsonl")[0].problem_text
+    config = str(root / "run.cfg")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in (["eval", "--config", config, "--checkpoint", str(huge), "--out", str(root / "huge.json")],
+                     ["eval", "--config", config, "--checkpoint", str(huge), "--beam", "4",
+                      "--out", str(root / "huge.json")],
+                     ["solve", "--config", config, "--checkpoint", str(huge), problem]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("data error: decoding step 1 gave non-finite logits")
+    assert caught == []
+    assert not (root / "huge.json").exists()

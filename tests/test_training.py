@@ -126,6 +126,25 @@ def test_zero_epochs_returns_params_unchanged():
         np.testing.assert_array_equal(result.params[key], params[key])
 
 
+def test_zero_epochs_builds_no_optimizer_state(monkeypatch):
+    import mwp.model.training as training
+
+    def refuse(params):
+        raise AssertionError("a zero-epoch run built optimizer state")
+
+    monkeypatch.setattr(training, "init_adam", refuse)
+    monkeypatch.setattr(training, "adam_scratch", refuse)
+    pairs, src_vocab, tgt_vocab = make_pairs(n=4)
+    config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
+                         dropout=0.0, **SMALL)
+    params = init_parameters(config, np.random.default_rng(1))
+    result = train(params, config, TrainConfig(epochs=0), pairs)
+    assert result.history == []
+    assert all(result.params[key] is params[key] for key in params)
+    with pytest.raises(ValueError, match="at least one"):
+        train(params, config, TrainConfig(epochs=0), [])
+
+
 def test_training_reduces_loss():
     pairs, src_vocab, tgt_vocab = make_pairs(n=8)
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
