@@ -39,7 +39,7 @@ from .model import (
     train,
 )
 from .preprocess import Vocab, build_vocab, decode, encode, tokenize
-from .runconfig import ConfigError, RunConfig, load_run_config, validate_ratios
+from .runconfig import ConfigError, RunConfig, as_tolerance, checked_beam, load_run_config, validate_ratios
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,7 +83,7 @@ def _ensure_vocabs(cfg: RunConfig, train_records: list[ds.MwpRecord] | None) -> 
     if train_records is None:
         raise ds.DatasetError(f"vocabulary files missing under {vocab_dir}")
     src_vocab = build_vocab(tokenize(r.problem_text) for r in train_records)
-    tgt_vocab = build_vocab(tokenize(_canonical_equation(r)) for r in train_records)
+    tgt_vocab = build_vocab(_canonical_equation(r).split() for r in train_records)
     vocab_dir.mkdir(parents=True, exist_ok=True)
     src_vocab.save(src_path)
     tgt_vocab.save(tgt_path)
@@ -243,12 +243,8 @@ def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     test_path = args.in_path or cfg.test_path
     report_path = args.out or cfg.report_path
-    beam = cfg.beam if args.beam is None else args.beam
-    tolerance = cfg.tolerance if args.tolerance is None else args.tolerance
-    try:
-        tol = Fraction(tolerance)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad --tolerance {tolerance!r}: {exc}") from exc
+    beam = cfg.beam if args.beam is None else checked_beam(args.beam)
+    tol = cfg.tolerance if args.tolerance is None else as_tolerance(args.tolerance)
 
     records = _load_records(test_path, args.format)
     row = {"model": "transformer", "batch_size": "-", "epochs": "-"}
@@ -295,8 +291,8 @@ def cmd_solve(args) -> int:
     if not args.problem:
         raise ConfigError("nothing to solve: pass --equation or a problem text")
     cfg = load_run_config(args.config)
+    beam = cfg.beam if args.beam is None else checked_beam(args.beam)
     ckpt = _load_checkpoint_file(args.checkpoint or cfg.checkpoint_path)
-    beam = cfg.beam if args.beam is None else args.beam
     record = ds.MwpRecord(id="cli", problem_text=args.problem, equation_text="x = 0", answer=None)
     predicted = _predict_with_checkpoint(ckpt, [record], beam)[0]
     print(f"equation: {predicted}")
@@ -324,7 +320,7 @@ def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, 
             try:
                 ckpt = Checkpoint(params=params, config=model_config, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
                 predictions = _predict_with_checkpoint(ckpt, test_records, cfg.beam)
-                report = evaluate_corpus(predictions, test_records, tolerance=Fraction(cfg.tolerance))
+                report = evaluate_corpus(predictions, test_records, tolerance=cfg.tolerance)
                 scored[epoch] = {"bleu": report.corpus_bleu, "accuracy": report.solution_accuracy}
             except Exception as exc:  # a cell failure must not kill the remaining cells
                 scored[epoch] = {"error": str(exc)}

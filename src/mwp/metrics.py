@@ -226,7 +226,8 @@ def evaluate_corpus(
 
     Both sides are canonicalized before BLEU tokenization when they parse,
     which removes detokenization whitespace artifacts without hiding real
-    errors; unparseable predictions are tokenized raw.
+    errors; a canonical string's tokens are its ``split()``. Unparseable
+    predictions are tokenized raw.
     """
     if len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} predictions for {len(records)} records")
@@ -253,8 +254,8 @@ def evaluate_corpus(
 
         verdict, pred_eq, pred_value = _judge(pred, ref_value, tol)
         correct += verdict == CORRECT
-        cand_tokens = tokenize(pred if pred_eq is None else equation.to_canonical_string(pred_eq)).tokens
-        ref_tokens = tokenize(ref_canon).tokens
+        cand_tokens = tokenize(pred).tokens if pred_eq is None else equation.to_canonical_string(pred_eq).split()
+        ref_tokens = ref_canon.split()
         tallies.append((_match_counts(cand_tokens, ref_tokens, max_n), len(cand_tokens), len(ref_tokens)))
         results.append(
             RecordResult(

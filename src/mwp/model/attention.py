@@ -1,5 +1,5 @@
-"""Attention primitives: masked softmax and its gradient, the sinusoidal
-position table, and causal and padding masks.
+"""Attention primitives: masked softmax and its gradient, log-softmax, the
+sinusoidal position table, and causal and padding masks.
 
 The attention core itself (scaled dot-product over projected heads, then the
 output projection) lives in ``network._attend``, shared by training and
@@ -26,6 +26,12 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     e = np.where(allowed, np.exp(np.where(allowed, scores, 0.0) - row_max), 0.0)
     denom = e.sum(axis=-1, keepdims=True)
     return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log probabilities along the last axis, each row on its own."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax_backward(d_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:

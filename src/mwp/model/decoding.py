@@ -20,7 +20,8 @@ hypotheses. Returned ids exclude BOS and EOS and come back in input
 order. Ties are broken toward the smaller token id, so decoding is fully
 deterministic; beam search with beam_size=1 reproduces greedy decoding
 exactly. A step whose logits are not all finite raises ``ValueError``: the
-weights overflow, so no prediction from them means anything.
+weights overflow, so no prediction from them means anything. The PAD, BOS
+and EOS ids are the ones ``mwp.preprocess`` reserves.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..preprocess import BOS_ID, EOS_ID, PAD_ID
+from .attention import log_softmax
 from .config import ModelConfig
 from .network import Parameters, decode_step, encode, start_decoding
 
@@ -38,12 +40,6 @@ BEAM_CHUNK_SIZE = 8  # records per chunk, so at most BEAM_CHUNK_SIZE * beam_size
 # cache row of the live parent it grew from); cache row r holds the r-th live
 # hypothesis of the step, whose last token is that step's input
 Hypothesis = tuple[tuple[int, ...], float, bool, int]
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log probabilities along the last axis, each row on its own."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _finite(logits: np.ndarray, step: int) -> np.ndarray:
@@ -60,7 +56,7 @@ def _one_source(src_ids) -> np.ndarray:
     return src[0]
 
 
-def _encoded_chunks(params: Parameters, config: ModelConfig, sources, chunk_size: int, pad_id: int):
+def _encoded_chunks(params: Parameters, config: ModelConfig, sources, chunk_size: int):
     """Source indices and a fresh decoder cache, one row per record, for
     each chunk of ``chunk_size`` records in order of source length."""
     sources = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sources]
@@ -69,33 +65,27 @@ def _encoded_chunks(params: Parameters, config: ModelConfig, sources, chunk_size
     order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     for start in range(0, len(order), chunk_size):
         chunk = order[start : start + chunk_size]
-        src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), pad_id, dtype=np.int64)
+        src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), PAD_ID, dtype=np.int64)
         for row, i in enumerate(chunk):
             src[row, : len(sources[i])] = sources[i]
-        memory, src_mask = encode(params, config, src, pad_id=pad_id)
+        memory, src_mask = encode(params, config, src)
         yield chunk, start_decoding(params, config, memory, src_mask)
 
 
 def greedy_decode_batch(
-    params: Parameters,
-    config: ModelConfig,
-    sources,
-    max_steps: int | None = None,
-    bos_id: int = BOS_ID,
-    eos_id: int = EOS_ID,
-    pad_id: int = PAD_ID,
+    params: Parameters, config: ModelConfig, sources, max_steps: int | None = None
 ) -> list[list[int]]:
     """Greedy ids for each source, in input order; see ``greedy_decode``."""
     limit = config.max_len - 1 if max_steps is None else max_steps
     sources = list(sources)
     results: list[list[int]] = [[] for _ in sources]
-    for chunk, cache in _encoded_chunks(params, config, sources, GREEDY_CHUNK_SIZE, pad_id):
+    for chunk, cache in _encoded_chunks(params, config, sources, GREEDY_CHUNK_SIZE):
         live = np.array(chunk)
-        tokens = np.full(len(chunk), bos_id, dtype=np.int64)
+        tokens = np.full(len(chunk), BOS_ID, dtype=np.int64)
         for step in range(1, limit + 1):
-            logits = _finite(decode_step(params, config, cache, tokens, pad_id=pad_id), step)
+            logits = _finite(decode_step(params, config, cache, tokens), step)
             tokens = np.argmax(logits, axis=-1)
-            going = tokens != eos_id
+            going = tokens != EOS_ID
             for i, token in zip(live[going], tokens[going]):
                 results[i].append(int(token))
             if not going.all():
@@ -106,17 +96,9 @@ def greedy_decode_batch(
     return results
 
 
-def greedy_decode(
-    params: Parameters,
-    config: ModelConfig,
-    src_ids,
-    max_steps: int | None = None,
-    bos_id: int = BOS_ID,
-    eos_id: int = EOS_ID,
-    pad_id: int = PAD_ID,
-) -> list[int]:
+def greedy_decode(params: Parameters, config: ModelConfig, src_ids, max_steps: int | None = None) -> list[int]:
     """Repeatedly append the argmax token until EOS or the step limit."""
-    return greedy_decode_batch(params, config, [_one_source(src_ids)], max_steps, bos_id, eos_id, pad_id)[0]
+    return greedy_decode_batch(params, config, [_one_source(src_ids)], max_steps)[0]
 
 
 def _final_score(h: Hypothesis) -> float:
@@ -132,9 +114,6 @@ def beam_decode_batch(
     sources,
     beam_size: int = 4,
     max_steps: int | None = None,
-    bos_id: int = BOS_ID,
-    eos_id: int = EOS_ID,
-    pad_id: int = PAD_ID,
 ) -> list[list[int]]:
     """Beam-search ids for each source, in input order; see ``beam_decode``."""
     if beam_size < 1:
@@ -142,8 +121,8 @@ def beam_decode_batch(
     limit = config.max_len - 1 if max_steps is None else max_steps
     sources = list(sources)
     results: list[list[int]] = [[] for _ in sources]
-    for chunk, cache in _encoded_chunks(params, config, sources, BEAM_CHUNK_SIZE, pad_id):
-        beams: list[list[Hypothesis]] = [[((bos_id,), 0.0, False, row)] for row in range(len(chunk))]
+    for chunk, cache in _encoded_chunks(params, config, sources, BEAM_CHUNK_SIZE):
+        beams: list[list[Hypothesis]] = [[((BOS_ID,), 0.0, False, row)] for row in range(len(chunk))]
         for step in range(1, limit + 1):
             # a record whose beams have all finished has no live rows left
             lives = [[h for h in record if not h[2]] for record in beams]
@@ -151,8 +130,8 @@ def beam_decode_batch(
             if not rows:
                 break
             cache = cache.select([h[3] for h in rows])
-            logits = decode_step(params, config, cache, [h[0][-1] for h in rows], pad_id=pad_id)
-            logp = _log_softmax(_finite(logits, step))
+            logits = decode_step(params, config, cache, [h[0][-1] for h in rows])
+            logp = log_softmax(_finite(logits, step))
             top = np.argsort(-logp, axis=-1, kind="stable")[:, : beam_size + 1]
             top_logp = np.take_along_axis(logp, top, axis=-1).tolist()
             top = top.tolist()
@@ -163,7 +142,7 @@ def beam_decode_batch(
                 candidates = [h for h in beams[r] if h[2]]
                 for tokens, score, _, _ in live:
                     for token, token_logp in zip(top[row], top_logp[row]):
-                        if token == eos_id:
+                        if token == EOS_ID:
                             candidates.append((tokens, score + token_logp, True, row))
                         else:
                             candidates.append((tokens + (token,), score + token_logp, False, row))
@@ -181,9 +160,6 @@ def beam_decode(
     src_ids,
     beam_size: int = 4,
     max_steps: int | None = None,
-    bos_id: int = BOS_ID,
-    eos_id: int = EOS_ID,
-    pad_id: int = PAD_ID,
 ) -> list[int]:
     """Length-normalized beam search; returns the best token sequence.
 
@@ -191,4 +167,4 @@ def beam_decode(
     mean log probability per generated token (EOS included) for the final
     ranking, which keeps short and long candidates comparable.
     """
-    return beam_decode_batch(params, config, [_one_source(src_ids)], beam_size, max_steps, bos_id, eos_id, pad_id)[0]
+    return beam_decode_batch(params, config, [_one_source(src_ids)], beam_size, max_steps)[0]

@@ -23,6 +23,9 @@ memory, one row per record and shared by every decoded row of that record,
 and gains each call's self-attention keys and values.
 ``forward_with_tape`` runs it once over the whole target with a tape,
 ``decode_logits`` once over a prefix, and ``decode_step`` once per position.
+
+The PAD id is ``mwp.preprocess.PAD_ID``, the one ``Vocab`` reserves: a key
+whose token is PAD is never attended to, and a PAD target is never scored.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .attention import causal_mask, masked_softmax, padding_mask, positional_encoding, softmax_backward
+from ..preprocess import PAD_ID
+from .attention import causal_mask, log_softmax, masked_softmax, padding_mask, positional_encoding, softmax_backward
 from .config import ModelConfig
 
 Parameters = dict[str, np.ndarray]
@@ -271,12 +275,6 @@ def position_table(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
-def _source_mask(src, pad_id):
-    if pad_id is None:
-        return np.ones((src.shape[0], 1, 1, src.shape[1]), dtype=bool)
-    return padding_mask(src, pad_id)
-
-
 def _encoder_stack(params, config, src, src_mask, tape=None, train=False, rng=None):
     """Encoder memory (B, T_src, D); dropout only when ``train`` is set."""
     p = config.dropout
@@ -298,7 +296,6 @@ def forward_with_tape(
     config: ModelConfig,
     src_ids,
     tgt_in_ids,
-    pad_id: int | None = 0,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
@@ -308,13 +305,13 @@ def forward_with_tape(
     if src.shape[0] != tgt.shape[0]:
         raise ValueError("src and tgt batch sizes differ")
     tape: dict = {"src": src, "tgt": tgt, "scale": np.sqrt(config.d_model)}
-    src_mask = _source_mask(src, pad_id)
+    src_mask = padding_mask(src, PAD_ID)
     memory = _encoder_stack(params, config, src, src_mask, tape, train, rng)
     cache = start_decoding(params, config, memory, src_mask)
-    return _decoder_block(params, config, cache, tgt, pad_id, memory, tape, train, rng), tape
+    return _decoder_block(params, config, cache, tgt, memory, tape, train, rng), tape
 
 
-def forward(params: Parameters, config: ModelConfig, src_ids, tgt_in_ids, pad_id: int | None = 0) -> np.ndarray:
+def forward(params: Parameters, config: ModelConfig, src_ids, tgt_in_ids) -> np.ndarray:
     """Evaluation-mode logits; accepts a single example (1-D) or a batch (2-D)."""
     src = np.asarray(src_ids)
     tgt = np.asarray(tgt_in_ids)
@@ -323,16 +320,14 @@ def forward(params: Parameters, config: ModelConfig, src_ids, tgt_in_ids, pad_id
         raise ValueError("src_ids and tgt_in_ids must both be 1-D or both 2-D")
     if single:
         src, tgt = src[None], tgt[None]
-    logits, _ = forward_with_tape(params, config, src, tgt, pad_id=pad_id, train=False)
+    logits, _ = forward_with_tape(params, config, src, tgt, train=False)
     return logits[0] if single else logits
 
 
-def _ce_with_grad(logits, targets, pad_id):
+def _ce_with_grad(logits, targets):
     targets = np.asarray(targets, dtype=np.int64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
-    mask = np.ones(targets.shape, dtype=bool) if pad_id is None else targets != pad_id
+    logp = log_softmax(logits)
+    mask = targets != PAD_ID
     n = int(mask.sum())
     if n == 0:
         raise ValueError("every target position is padding; nothing to score")
@@ -345,9 +340,9 @@ def _ce_with_grad(logits, targets, pad_id):
     return float(loss), d_logits
 
 
-def cross_entropy_loss(logits, targets, pad_id: int | None = 0) -> float:
+def cross_entropy_loss(logits, targets) -> float:
     """Mean token-level cross entropy over non-padding target positions."""
-    loss, _ = _ce_with_grad(np.asarray(logits, dtype=np.float64), targets, pad_id)
+    loss, _ = _ce_with_grad(np.asarray(logits, dtype=np.float64), targets)
     return loss
 
 
@@ -357,13 +352,12 @@ def backward(
     src_ids,
     tgt_in_ids,
     tgt_out_ids,
-    pad_id: int | None = 0,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, Parameters]:
     """Loss and gradients for one batch; grads share the parameter dict keys."""
-    logits, tape = forward_with_tape(params, config, src_ids, tgt_in_ids, pad_id=pad_id, train=train, rng=rng)
-    loss, d_logits = _ce_with_grad(logits, tgt_out_ids, pad_id)
+    logits, tape = forward_with_tape(params, config, src_ids, tgt_in_ids, train=train, rng=rng)
+    loss, d_logits = _ce_with_grad(logits, tgt_out_ids)
     grads: Parameters = {}
     src, tgt, scale = tape["src"], tape["tgt"], tape["scale"]
 
@@ -405,10 +399,10 @@ def backward(
     return loss, grads
 
 
-def encode(params: Parameters, config: ModelConfig, src_ids, pad_id: int | None = 0):
+def encode(params: Parameters, config: ModelConfig, src_ids):
     """Encoder memory and source mask for incremental decoding."""
     src = _check_batch("src_ids", np.atleast_2d(np.asarray(src_ids)), config.max_len)
-    src_mask = _source_mask(src, pad_id)
+    src_mask = padding_mask(src, PAD_ID)
     return _encoder_stack(params, config, src, src_mask), src_mask
 
 
@@ -476,20 +470,19 @@ def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, ba
     return DecoderCache(weights, cross, src_mask, record, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
 
 
-def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, train=False, rng=None):
+def _decoder_block(params, config, cache, tgt, memory=None, tape=None, train=False, rng=None):
     """Logits (B, T, V) for T new target positions per row, after ``cache``.
 
     Appends the positions' self-attention keys and values to ``cache``. A
     position attends to the cached ones, itself and earlier new ones, but
-    never to a key whose token is ``pad_id``. Cross-attention gathers each
+    never to a key whose token is PAD. Cross-attention gathers each
     row's record from ``cache.cross`` by ``cache.record``. Only the tape
     needs ``memory``, which ``cache.cross`` was projected from.
     """
     t0, t = cache.length, tgt.shape[1]
     if t0 + t > config.max_len:
         raise ValueError(f"tgt_in_ids length {t0 + t} exceeds max_len {config.max_len}")
-    ok = np.ones(tgt.shape, dtype=bool) if pad_id is None else tgt != pad_id
-    cache.key_ok = np.concatenate([cache.key_ok, ok], axis=1)
+    cache.key_ok = np.concatenate([cache.key_ok, tgt != PAD_ID], axis=1)
     self_mask = cache.key_ok[:, None, None, :]
     if t > 1:  # one new position may attend to every key
         self_mask = self_mask & causal_mask(t0 + t)[t0:]
@@ -519,18 +512,18 @@ def _decoder_block(params, config, cache, tgt, pad_id, memory=None, tape=None, t
     return _mm(y, params["out.w"]) + params["out.b"]
 
 
-def decode_step(params: Parameters, config: ModelConfig, cache: DecoderCache, token_ids, pad_id: int | None = 0):
+def decode_step(params: Parameters, config: ModelConfig, cache: DecoderCache, token_ids):
     """Logits (B, V) for one new token per row at the next position.
 
     Appends the token's self-attention keys and values to ``cache``. A key
-    whose token is ``pad_id`` is never attended to, as in a full forward.
+    whose token is PAD is never attended to, as in a full forward.
     """
     tokens = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
-    return _decoder_block(params, config, cache, tokens, pad_id)[:, 0]
+    return _decoder_block(params, config, cache, tokens)[:, 0]
 
 
-def decode_logits(params: Parameters, config: ModelConfig, memory, src_mask, tgt_in_ids, pad_id: int | None = 0):
+def decode_logits(params: Parameters, config: ModelConfig, memory, src_mask, tgt_in_ids):
     """Logits (B, T_tgt, V) for target prefixes against an encoded memory."""
     tgt = _check_batch("tgt_in_ids", np.atleast_2d(np.asarray(tgt_in_ids)), config.max_len)
     cache = start_decoding(params, config, memory, src_mask, batch=tgt.shape[0])
-    return _decoder_block(params, config, cache, tgt, pad_id)
+    return _decoder_block(params, config, cache, tgt)

@@ -39,31 +39,32 @@ def prepare_pairs(records: Sequence, src_vocab: Vocab, tgt_vocab: Vocab) -> list
     """Encode records into (source ids, target ids) pairs.
 
     The source is the tokenized problem text; the target is the canonical
-    form of the gold equation wrapped in BOS/EOS. Canonicalizing the target
-    makes the supervision insensitive to formatting quirks in the data.
+    form of the gold equation wrapped in BOS/EOS, whose tokens are its
+    ``split()``. Canonicalizing the target makes the supervision insensitive
+    to formatting quirks in the data.
     """
     pairs: list[Pair] = []
     for rec in records:
         canonical = to_canonical_string(parse_equation(rec.equation_text))
         src = encode(tokenize(rec.problem_text), src_vocab)
-        tgt = encode(tokenize(canonical), tgt_vocab, add_bos_eos=True)
+        tgt = encode(canonical.split(), tgt_vocab, add_bos_eos=True)
         if not src:
             raise ValueError(f"record {rec.id!r} has an empty problem after tokenization")
         pairs.append((src, tgt))
     return pairs
 
 
-def pad_batch(pairs: Sequence[Pair], pad_id: int = PAD_ID) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack pairs into (src, tgt_in, tgt_out) int arrays padded with pad_id."""
+def pad_batch(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pack pairs into (src, tgt_in, tgt_out) int arrays padded with PAD."""
     if not pairs:
         raise ValueError("cannot pack an empty batch")
     src_len = max(len(s) for s, _ in pairs)
     tgt_len = max(len(t) for _, t in pairs) - 1
     if tgt_len < 1:
         raise ValueError("target sequences must have at least two tokens (BOS + EOS)")
-    src = np.full((len(pairs), src_len), pad_id, dtype=np.int64)
-    tgt_in = np.full((len(pairs), tgt_len), pad_id, dtype=np.int64)
-    tgt_out = np.full((len(pairs), tgt_len), pad_id, dtype=np.int64)
+    src = np.full((len(pairs), src_len), PAD_ID, dtype=np.int64)
+    tgt_in = np.full((len(pairs), tgt_len), PAD_ID, dtype=np.int64)
+    tgt_out = np.full((len(pairs), tgt_len), PAD_ID, dtype=np.int64)
     for row, (s, t) in enumerate(pairs):
         src[row, : len(s)] = s
         tgt_in[row, : len(t) - 1] = t[:-1]
@@ -77,22 +78,16 @@ def _epoch_batches(pairs: Sequence[Pair], order: np.ndarray, batch_size: int):
         yield pad_batch(chunk)
 
 
-def evaluate_loss(
-    params: Parameters,
-    config: ModelConfig,
-    pairs: Sequence[Pair],
-    batch_size: int = 32,
-    pad_id: int = PAD_ID,
-) -> float:
+def evaluate_loss(params: Parameters, config: ModelConfig, pairs: Sequence[Pair], batch_size: int = 32) -> float:
     """Token-weighted mean cross entropy over pairs, without dropout."""
     if not pairs:
         raise ValueError("evaluate_loss needs at least one pair")
     total, tokens = 0.0, 0
     order = np.arange(len(pairs))
     for src, tgt_in, tgt_out in _epoch_batches(pairs, order, batch_size):
-        logits, _ = forward_with_tape(params, config, src, tgt_in, pad_id=pad_id, train=False)
-        n = int((tgt_out != pad_id).sum())
-        total += cross_entropy_loss(logits, tgt_out, pad_id) * n
+        logits, _ = forward_with_tape(params, config, src, tgt_in, train=False)
+        n = int((tgt_out != PAD_ID).sum())
+        total += cross_entropy_loss(logits, tgt_out) * n
         tokens += n
     return total / tokens
 
@@ -125,26 +120,25 @@ def train(
     state = init_adam(params)
     scratch = adam_scratch(params)
     history: list[EpochStats] = []
-    pad_id = PAD_ID
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(len(train_pairs))
         total, tokens = 0.0, 0
         batches = _epoch_batches(train_pairs, order, train_config.batch_size)
         for step, (src, tgt_in, tgt_out) in enumerate(batches, start=1):
-            loss, grads = backward(params, config, src, tgt_in, tgt_out, pad_id=pad_id, train=True, rng=rng)
+            loss, grads = backward(params, config, src, tgt_in, tgt_out, train=True, rng=rng)
             if not math.isfinite(loss):
                 raise RuntimeError(f"training loss is {loss} at epoch {epoch}, step {step}")
             if train_config.clip_norm is not None:
                 grads, _ = clip_gradients(grads, train_config.clip_norm)
             adam_update(params, grads, state, train_config, scratch)
-            n = int((tgt_out != pad_id).sum())
+            n = int((tgt_out != PAD_ID).sum())
             total += loss * n
             tokens += n
         if not all(np.isfinite(p).all() for p in params.values()):
             raise RuntimeError(f"parameters are not finite after epoch {epoch}, step {step}")
         val_loss = None
         if val_pairs:
-            val_loss = evaluate_loss(params, config, val_pairs, batch_size=train_config.batch_size, pad_id=pad_id)
+            val_loss = evaluate_loss(params, config, val_pairs, batch_size=train_config.batch_size)
             if not math.isfinite(val_loss):
                 raise RuntimeError(f"validation loss is {val_loss} at epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=total / tokens, val_loss=val_loss)

@@ -3,12 +3,14 @@
 Config files are plain text with dotted keys, one ``key = value`` pair per
 line; ``#`` starts a full-line comment and blank lines are ignored. Every
 key has a default, so an empty (or absent) config runs the reference
-settings: dropout 0.1, learning rate 1e-4, batch size 8, 15 epochs.
+settings. The ``model.*`` and ``train.*`` keys are named after the fields
+of ``ModelConfig`` and ``TrainConfig``, which hold their defaults: a
+``RunConfig`` keeps only the values a config file set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,13 +63,22 @@ def _as_int_list(value: str) -> tuple[int, ...]:
     return tuple(_as_int(p) for p in parts)
 
 
-def _as_fraction_str(value: str) -> str:
+def as_tolerance(value: str) -> Fraction:
+    """A rational solution-accuracy tolerance, at least 0."""
     try:
-        if Fraction(value) < 0:
-            raise ConfigError(f"tolerance must be >= 0, got {value!r}")
+        tolerance = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"expected a rational tolerance, got {value!r}") from exc
-    return value
+    if tolerance < 0:
+        raise ConfigError(f"tolerance must be >= 0, got {value!r}")
+    return tolerance
+
+
+def checked_beam(beam: int) -> int:
+    """A beam size, at least 0; 0 decodes greedily."""
+    if beam < 0:
+        raise ConfigError(f"beam must be >= 0 (0 decodes greedily), got {beam}")
+    return beam
 
 
 def validate_ratios(ratios) -> None:
@@ -90,25 +101,12 @@ class RunConfig:
     history_path: str = "runs/history.txt"
     report_path: str = "runs/report.json"
     grid_report_path: str = "runs/grid_report.json"
-    # model shape
-    d_model: int = 128
-    n_heads: int = 4
-    d_ff: int = 512
-    n_encoder_layers: int = 2
-    n_decoder_layers: int = 2
-    dropout: float = 0.1
-    max_len: int = 64
-    # optimization
-    batch_size: int = 8
-    epochs: int = 15
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float | None = None
+    # the model.* and train.* values a config file set, by field name
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
     # run-wide settings
     seed: int = 0
-    tolerance: str = "0"
+    tolerance: Fraction = Fraction(0)
     beam: int = 0  # 0 decodes greedily
     # hyperparameter grid
     grid_batch_sizes: tuple[int, ...] = (8, 16)
@@ -116,32 +114,19 @@ class RunConfig:
 
     def model_config(self, src_vocab_size: int, tgt_vocab_size: int) -> ModelConfig:
         try:
-            return ModelConfig(
-                src_vocab_size=src_vocab_size,
-                tgt_vocab_size=tgt_vocab_size,
-                d_model=self.d_model,
-                n_heads=self.n_heads,
-                d_ff=self.d_ff,
-                n_encoder_layers=self.n_encoder_layers,
-                n_decoder_layers=self.n_decoder_layers,
-                dropout=self.dropout,
-                max_len=self.max_len,
-            )
+            return ModelConfig(src_vocab_size, tgt_vocab_size, **self.model)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def train_config(self, batch_size: int | None = None, epochs: int | None = None) -> TrainConfig:
+        """The train settings, with ``batch_size`` and ``epochs`` replaced when given."""
+        values = {**self.train, "seed": self.seed}
+        if batch_size is not None:
+            values["batch_size"] = batch_size
+        if epochs is not None:
+            values["epochs"] = epochs
         try:
-            return TrainConfig(
-                batch_size=self.batch_size if batch_size is None else batch_size,
-                epochs=self.epochs if epochs is None else epochs,
-                learning_rate=self.learning_rate,
-                beta1=self.beta1,
-                beta2=self.beta2,
-                eps=self.eps,
-                seed=self.seed,
-                clip_norm=self.clip_norm,
-            )
+            return TrainConfig(**values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -155,36 +140,37 @@ _KEYS = {
     "paths.history": ("history_path", str),
     "paths.report": ("report_path", str),
     "paths.grid_report": ("grid_report_path", str),
-    "model.d_model": ("d_model", _as_int),
-    "model.n_heads": ("n_heads", _as_int),
-    "model.d_ff": ("d_ff", _as_int),
-    "model.n_encoder_layers": ("n_encoder_layers", _as_int),
-    "model.n_decoder_layers": ("n_decoder_layers", _as_int),
-    "model.dropout": ("dropout", _as_float),
-    "model.max_len": ("max_len", _as_int),
-    "train.batch_size": ("batch_size", _as_int),
-    "train.epochs": ("epochs", _as_int),
-    "train.learning_rate": ("learning_rate", _as_float),
-    "train.beta1": ("beta1", _as_float),
-    "train.beta2": ("beta2", _as_float),
-    "train.eps": ("eps", _as_float),
-    "train.clip_norm": ("clip_norm", _as_opt_float),
     "seed": ("seed", _as_int),
-    "eval.tolerance": ("tolerance", _as_fraction_str),
-    "eval.beam": ("beam", _as_int),
+    "eval.tolerance": ("tolerance", as_tolerance),
+    "eval.beam": ("beam", lambda value: checked_beam(_as_int(value))),
     "grid.batch_sizes": ("grid_batch_sizes", _as_int_list),
     "grid.epochs": ("grid_epochs", _as_int_list),
+}
+
+_CONVERTERS = {"int": _as_int, "float": _as_float, "float | None": _as_opt_float}
+
+# model.<field> and train.<field> for every ModelConfig and TrainConfig field
+# with a default; the seed is the run-wide "seed" key
+_HYPERPARAMETER_KEYS = {
+    f"{section}.{f.name}": _CONVERTERS[f.type]
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+    for f in fields(cls)
+    if f.default is not MISSING and f.name != "seed"
 }
 
 
 def run_config_from_mapping(mapping: dict[str, str], source: str = "<config>") -> RunConfig:
     config = RunConfig()
     for key, raw in mapping.items():
-        if key not in _KEYS:
+        if key not in _KEYS and key not in _HYPERPARAMETER_KEYS:
             raise ConfigError(f"{source}: unknown key {key!r}")
-        attr, convert = _KEYS[key]
         try:
-            setattr(config, attr, convert(raw))
+            if key in _KEYS:
+                attr, convert = _KEYS[key]
+                setattr(config, attr, convert(raw))
+            else:
+                section, _, name = key.partition(".")
+                getattr(config, section)[name] = _HYPERPARAMETER_KEYS[key](raw)
         except ConfigError as exc:
             raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
     return config

@@ -1,11 +1,13 @@
 """Command-line pipeline tests, run in process through main(argv)."""
 
+import dataclasses
 import json
 import os
 import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import mwp.model.training
 from mwp import dataset as ds
 from mwp.cli import _grid_workers, main
 from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mwp.model.config import ModelConfig, TrainConfig
 from mwp.preprocess import DANDA
 from mwp.runconfig import (
     ConfigError,
@@ -94,12 +97,13 @@ def test_config_values_convert_and_validate():
         "grid.epochs": "5, 15",
         "eval.tolerance": "1/100",
     })
-    assert cfg.d_model == 64
-    assert cfg.clip_norm is None
+    assert cfg.model_config(10, 10).d_model == 64
+    assert cfg.train_config().clip_norm is None
     assert cfg.grid_epochs == (5, 15)
+    assert cfg.tolerance == Fraction(1, 100)
     with pytest.raises(ConfigError, match="expected an integer"):
         run_config_from_mapping({"model.d_model": "big"})
-    with pytest.raises(ConfigError, match="tolerance"):
+    with pytest.raises(ConfigError, match="tolerance must be >= 0, got '-1/2'"):
         run_config_from_mapping({"eval.tolerance": "-1/2"})
 
 
@@ -110,10 +114,38 @@ def test_missing_config_file_is_config_error(tmp_path):
 
 def test_defaults_used_without_config_file():
     cfg = load_run_config(None)
-    assert cfg.batch_size == 8
-    assert cfg.epochs == 15
-    assert cfg.learning_rate == 1e-4
-    assert cfg.dropout == 0.1
+    assert cfg.train_config().batch_size == 8
+    assert cfg.train_config().epochs == 15
+    assert cfg.train_config().learning_rate == 1e-4
+    assert cfg.model_config(10, 10).dropout == 0.1
+
+
+def test_model_and_train_defaults_come_from_their_dataclasses():
+    assert load_run_config(None).model_config(7, 9) == ModelConfig(7, 9)
+    assert load_run_config(None).train_config() == TrainConfig()
+
+
+# a value unlike each field's default, as the config file spells it
+NON_DEFAULT = {
+    "d_model": ("96", 96), "n_heads": ("8", 8), "d_ff": ("40", 40), "n_encoder_layers": ("3", 3),
+    "n_decoder_layers": ("1", 1), "dropout": ("0.25", 0.25), "max_len": ("20", 20),
+    "batch_size": ("5", 5), "epochs": ("0", 0), "learning_rate": ("0.5", 0.5), "beta1": ("0.5", 0.5),
+    "beta2": ("0.75", 0.75), "eps": ("1e-3", 1e-3), "clip_norm": ("2.5", 2.5),
+}
+
+
+@pytest.mark.parametrize(
+    "section, cls, name",
+    [("model", ModelConfig, f.name) for f in dataclasses.fields(ModelConfig) if f.default is not dataclasses.MISSING]
+    + [("train", TrainConfig, f.name) for f in dataclasses.fields(TrainConfig)
+       if f.default is not dataclasses.MISSING and f.name != "seed"],
+)
+def test_every_defaulted_field_has_its_key(section, cls, name):
+    raw, value = NON_DEFAULT[name]
+    assert cls.__dataclass_fields__[name].default != value
+    cfg = run_config_from_mapping({f"{section}.{name}": raw})
+    built = cfg.model_config(10, 10) if section == "model" else cfg.train_config()
+    assert getattr(built, name) == value
 
 
 def test_seed_argument_replaces_config_seed(tmp_path):
@@ -374,18 +406,22 @@ def test_eval_checkpoint_end_to_end(tmp_path, capsys):
     assert report["metadata"]["beam"] == 0
 
 
-def test_eval_gold_predictions_score_perfectly(tmp_path, capsys):
+def write_gold_predictions(tmp_path, n):
     data = tmp_path / "data.jsonl"
-    main(["datagen", "--n", "6", "--seed", "8", "--out", str(data)])
-    records = ds.load_dataset(data)
+    main(["datagen", "--n", str(n), "--seed", "8", "--out", str(data)])
     preds = tmp_path / "preds.jsonl"
     preds.write_text(
         "".join(
             json.dumps({"id": r.id, "equation": r.equation_text}, ensure_ascii=False) + "\n"
-            for r in records
+            for r in ds.load_dataset(data)
         ),
         encoding="utf-8",
     )
+    return data, preds
+
+
+def test_eval_gold_predictions_score_perfectly(tmp_path, capsys):
+    data, preds = write_gold_predictions(tmp_path, 6)
     report_path = tmp_path / "report.json"
     assert main(["eval", "--in", str(data), "--predictions", str(preds),
                  "--out", str(report_path)]) == 0
@@ -434,6 +470,42 @@ def test_eval_bad_tolerance_is_config_error(tmp_path, capsys):
     assert main(["eval", "--in", str(data), "--predictions", str(data),
                  "--tolerance", "zero"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_negative_tolerance_is_config_error_from_flag_and_key(tmp_path, capsys):
+    data, preds = write_gold_predictions(tmp_path, 3)
+    config = tmp_path / "run.cfg"
+    config.write_text("eval.tolerance = -1\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    base = ["eval", "--in", str(data), "--predictions", str(preds), "--out", str(report)]
+    capsys.readouterr()
+    for argv in (base + ["--tolerance=-1"], base + ["--config", str(config)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "tolerance must be >= 0, got '-1'" in err[0]
+    assert not report.exists()
+    assert main(base + ["--tolerance", "1/2"]) == 0
+
+
+def test_negative_beam_is_config_error_before_loading_a_checkpoint(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["datagen", "--n", "3", "--out", str(data)])
+    config = tmp_path / "run.cfg"
+    config.write_text("eval.beam = -2\n", encoding="utf-8")
+    missing = str(tmp_path / "no.ckpt")  # loading it would be a data error, exit 3
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    for argv in (
+        ["eval", "--in", str(data), "--checkpoint", missing, "--out", str(report), "--beam", "-2"],
+        ["eval", "--in", str(data), "--checkpoint", missing, "--out", str(report), "--config", str(config)],
+        ["solve", "--checkpoint", missing, "--beam", "-2", "problem"],
+        ["solve", "--checkpoint", missing, "--config", str(config), "problem"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "beam must be >= 0" in err[0], argv
+    assert not report.exists()
 
 
 def test_bad_config_key_is_config_error(tmp_path, capsys):

@@ -108,6 +108,15 @@ def test_normalize_text_matches_oracle_for_any_punctuation(s, punctuation):
     assert tokenize(s, punctuation).tokens == oracle.normalize_text(s, punctuation).split()
 
 
+@settings(max_examples=300, deadline=None)
+@given(valid_equation)
+def test_canonical_string_tokens_are_its_split(s):
+    # training targets, target vocabularies and BLEU split canonical strings
+    # on spaces in place of running the tokenizer over them again
+    c = equation.to_canonical_string(equation.parse_equation(s))
+    assert tokenize(c).tokens == c.split()
+
+
 def test_digit_check_is_str_isdigit():
     # '²' and Bengali digits are digits to str.isdigit, so their periods stay
     for s in ("2².5", "².²", "৩.৫", "1.²", "a.5", "5.", ".5", "1..2"):
