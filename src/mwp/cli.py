@@ -16,6 +16,7 @@ import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,10 @@ def _ratios_arg(value: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mwp`` argument parser, built once per process: building it
+    costs far more than parsing one command line with it."""
     parser = argparse.ArgumentParser(prog="mwp", description="Bengali word-problem-to-equation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,21 +7,31 @@ keys and values projected once per source, so no step re-runs the decoder
 over the prefix.
 
 Both decoders take a list of sources and decode them in length-sorted
-chunks, so a chunk pads little; padded source positions are masked.
-Greedy decodes ``GREEDY_CHUNK_SIZE`` records per chunk, and a row leaves
-the batch and the cache when it emits EOS. Beam search decodes
-``BEAM_CHUNK_SIZE`` records per chunk: the live hypotheses of every record
-share one step, each gathering its self-attention cache row from its
-parent, while all of a record's hypotheses share its one copy of the
-cross-attention keys and values. A record stops taking rows once all of
-its beams have finished. One log-softmax and one stable sort per step rank
-the next tokens of every live row; each record then keeps its own best
-hypotheses. Returned ids exclude BOS and EOS and come back in input
-order. Ties are broken toward the smaller token id, so decoding is fully
-deterministic; beam search with beam_size=1 reproduces greedy decoding
-exactly. A step whose logits are not all finite raises ``ValueError``: the
-weights overflow, so no prediction from them means anything. The PAD, BOS
-and EOS ids are the ones ``mwp.preprocess`` reserves.
+chunks, so a chunk pads little; padded source positions are masked. A
+chunk is padded once and encoded ``ENCODE_ROWS`` (8) records at a time,
+which gives the same bits as one call while the encoder's feed-forward
+transient stays that of 8 rows. A chunk's cache is freed before the next
+one is built, so one cache is alive at a time.
+
+Greedy decodes ``GREEDY_CHUNK_SIZE`` (32) records per chunk, and a row
+leaves the batch and the cache when it emits EOS. Beam search decodes
+``BEAM_CHUNK_SIZE`` (8) records per chunk, up to 8 * beam_size rows. Its
+memory peak is ``DecoderCache.select`` copying every live row's
+self-attention keys and values at each step while the old cache is still
+alive, so larger beam chunks raise the process's peak. The live
+hypotheses of every record share one step, each gathering its
+self-attention cache row from its parent, while all of a record's
+hypotheses share its one copy of the cross-attention keys and values. A
+record stops taking rows once all of its beams have finished. One
+log-softmax and one stable sort per step rank the next tokens of every
+live row; each record then keeps its own best hypotheses.
+
+Returned ids exclude BOS and EOS and come back in input order. Ties are
+broken toward the smaller token id, so decoding is fully deterministic;
+beam search with beam_size=1 reproduces greedy decoding exactly. A step
+whose logits are not all finite raises ``ValueError``: the weights
+overflow, so no prediction from them means anything. The PAD, BOS and EOS
+ids are the ones ``mwp.preprocess`` reserves.
 """
 
 from __future__ import annotations
@@ -33,8 +43,9 @@ from .attention import log_softmax
 from .config import ModelConfig
 from .network import Parameters, decode_step, encode, start_decoding
 
-GREEDY_CHUNK_SIZE = 8
+GREEDY_CHUNK_SIZE = 32
 BEAM_CHUNK_SIZE = 8  # records per chunk, so at most BEAM_CHUNK_SIZE * beam_size rows per step
+ENCODE_ROWS = 8  # records per encoder call: its feed-forward hidden layer is the largest transient
 
 # beam hypothesis: (token tuple starting with BOS, summed logprob, finished,
 # cache row of the live parent it grew from); cache row r holds the r-th live
@@ -68,8 +79,17 @@ def _encoded_chunks(params: Parameters, config: ModelConfig, sources, chunk_size
         src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), PAD_ID, dtype=np.int64)
         for row, i in enumerate(chunk):
             src[row, : len(sources[i])] = sources[i]
-        memory, src_mask = encode(params, config, src)
-        yield chunk, start_decoding(params, config, memory, src_mask)
+        # no local holds the cache, so it dies with the caller's last reference
+        yield chunk, start_decoding(params, config, *_encode_in_slices(params, config, src))
+
+
+def _encode_in_slices(params: Parameters, config: ModelConfig, src: np.ndarray):
+    """``encode`` of a padded batch, run ``ENCODE_ROWS`` rows at a time: the
+    same bits, while the feed-forward transient stays that of a few rows."""
+    parts = [encode(params, config, src[r : r + ENCODE_ROWS]) for r in range(0, len(src), ENCODE_ROWS)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def greedy_decode_batch(
@@ -93,6 +113,7 @@ def greedy_decode_batch(
                     break
                 keep = np.flatnonzero(going)
                 cache, live, tokens = cache.select(keep), live[keep], tokens[keep]
+        del cache  # before the next chunk's cache is built
     return results
 
 
@@ -151,6 +172,7 @@ def beam_decode_batch(
                 beams[r] = candidates[:beam_size]
         for i, record in zip(chunk, beams):
             results[i] = list(min(record, key=lambda h: (-_final_score(h), h[0]))[0][1:])
+        del cache  # before the next chunk's cache is built
     return results
 
 

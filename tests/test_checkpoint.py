@@ -56,10 +56,28 @@ def test_bengali_vocab_survives_round_trip(tmp_path):
 
 
 def test_loaded_params_are_writable_copies(tmp_path):
-    path, _, _, _ = make_checkpoint(tmp_path)
+    path, params, _, _ = make_checkpoint(tmp_path, extra={"epochs": 3})
     ckpt = load_checkpoint(path)
-    key = next(iter(ckpt.params))
-    ckpt.params[key][...] = 0.0  # must not raise: not a read-only buffer view
+    for key in ckpt.params:
+        loaded = load_checkpoint(path).params
+        loaded[key][...] = -7.0  # must not raise, and leaves every other tensor as saved
+        for other in loaded:
+            if other != key:
+                np.testing.assert_array_equal(loaded[other], params[other])
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, ckpt.params, ckpt.config, ckpt.src_vocab, ckpt.tgt_vocab, extra=ckpt.extra)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_truncated_tensor_data_names_the_first_short_tensor(tmp_path):
+    path, params, _, _ = make_checkpoint(tmp_path)
+    data = path.read_bytes()
+    keys = sorted(params)
+    # cut the file inside the second tensor: the first one is whole
+    tensor_start = len(data) - 8 * sum(p.size for p in params.values())
+    path.write_bytes(data[: tensor_start + 8 * params[keys[0]].size + 4])
+    with pytest.raises(ValueError, match=f"truncated tensor data for '{keys[1]}'"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):

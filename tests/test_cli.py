@@ -1,5 +1,6 @@
 """Command-line pipeline tests, run in process through main(argv)."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import mwp.cli
 import mwp.model.training
 from mwp import dataset as ds
-from mwp.cli import _grid_workers, main
+from mwp.cli import _grid_workers, build_parser, main
 from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mwp.model.config import ModelConfig, TrainConfig
 from mwp.preprocess import DANDA
@@ -280,6 +281,28 @@ def test_solve_unparseable_equation_is_data_error(capsys):
 def test_solve_requires_exactly_one_input(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "some problem", "--equation", "x = 1"]) == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    main(["solve", "--equation", "x = 1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["solve", "--equation", "x = 2 * 3"]) == 0
+    assert main(["solve", "--equation", "x = 7 - 3"]) == 0
+    assert capsys.readouterr().out.split() == ["1", "6", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert main(["solve", "--equation", "x = 2 + 2"]) == 0
+    assert capsys.readouterr().out.strip() == "4"
+    assert built == [] and build_parser() is build_parser()
 
 
 class ClosedPipe:

@@ -2,6 +2,7 @@
 cached decoders against naive full-prefix references."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,9 +215,10 @@ def mixed_sources(seed, n, vocab=11):
     return sources
 
 
-@pytest.mark.parametrize("n", [1, GREEDY_CHUNK_SIZE, GREEDY_CHUNK_SIZE + 1, 2 * GREEDY_CHUNK_SIZE + 3])
+@pytest.mark.parametrize("n", sorted({1, 8, 9, 19, GREEDY_CHUNK_SIZE, GREEDY_CHUNK_SIZE + 1, 2 * GREEDY_CHUNK_SIZE + 3}))
 def test_batched_greedy_matches_reference_on_random_models(n):
-    # n = chunk + 1 leaves a one-record chunk; 2 chunks + 3 crosses two boundaries
+    # n = chunk + 1 leaves a one-record chunk; 2 chunks + 3 crosses two
+    # boundaries; 8, 9 and 19 fill part of a chunk and cross encoder slices
     for seed in range(3):
         params, config = random_setup(100 + seed)
         sources = mixed_sources(seed, n)
@@ -444,3 +446,39 @@ def test_memory_of_one_record_serves_every_row():
     with pytest.raises(ValueError, match="cannot serve"):
         decode_logits(params, config, np.repeat(memory, 2, axis=0), np.repeat(src_mask, 2, axis=0),
                       np.array([[BOS_ID]] * 3))
+
+
+# --- greedy chunks encoded in slices, one cache alive at a time ---------------------
+
+
+def test_encode_of_a_padded_batch_equals_its_slices_bit_for_bit():
+    config = ModelConfig(src_vocab_size=11, tgt_vocab_size=9, dropout=0.0)  # the reference shape
+    params = init_parameters(config, np.random.default_rng(160))
+    sources = sorted(mixed_sources(160, 3 * decoding.ENCODE_ROWS + 5), key=len)
+    src = np.full((len(sources), max(map(len, sources))), PAD_ID)
+    for row, s in enumerate(sources):
+        src[row, : len(s)] = s
+    memory, src_mask = encode(params, config, src)
+    sliced_memory, sliced_mask = decoding._encode_in_slices(params, config, src)
+    assert np.array_equal(sliced_memory, memory) and np.array_equal(sliced_mask, src_mask)
+
+
+def test_greedy_memory_peak_does_not_grow_with_chunks():
+    # every record decodes to the step limit, so each chunk's cache reaches
+    # its full size; a cache kept alive while the next chunk is encoded
+    # raises the peak by about 1.8x at this shape
+    params, config = random_setup(161)
+    params["out.b"][EOS_ID] = -1e3
+    rng = np.random.default_rng(161)
+    sources = [rng.integers(3, 11, size=30) for _ in range(3 * GREEDY_CHUNK_SIZE)]
+
+    def peak(batch):
+        tracemalloc.start()
+        greedy_decode_batch(params, config, batch)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    greedy_decode_batch(params, config, sources[:1])  # builds the cached position table
+    one_chunk = peak(sources[:GREEDY_CHUNK_SIZE])
+    assert peak(sources) <= 1.1 * one_chunk
