@@ -24,7 +24,7 @@ import numpy as np
 from . import dataset as ds
 from . import synth
 from .atomic import write_text_atomic
-from .equation import DivisionByZero, ParseError, format_number, parse_equation, solve, to_canonical_string
+from .equation import DivisionByZero, ParseError, format_number, parse_equation, solve
 from .metrics import evaluate_corpus, format_results_table
 from .model import (
     Checkpoint,
@@ -39,7 +39,8 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .preprocess import Vocab, build_vocab, decode, encode, tokenize
+from .model.training import source_ids, target_tokens
+from .preprocess import Vocab, build_vocab, decode, tokenize
 from .runconfig import ConfigError, RunConfig, as_tolerance, checked_beam, load_run_config, validate_ratios
 
 EXIT_OK = 0
@@ -69,13 +70,6 @@ def _load_records(path: str | Path, fmt: str | None = None) -> list[ds.MwpRecord
     return ds.load_dataset(file, format=_infer_format(file, fmt))
 
 
-def _canonical_equation(rec: ds.MwpRecord) -> str:
-    try:
-        return to_canonical_string(parse_equation(rec.equation_text))
-    except ParseError as exc:
-        raise ds.DatasetError(f"record {rec.id!r}: bad equation: {exc}") from exc
-
-
 def _ensure_vocabs(cfg: RunConfig, train_records: list[ds.MwpRecord] | None) -> tuple[Vocab, Vocab]:
     vocab_dir = Path(cfg.vocab_dir)
     src_path, tgt_path = vocab_dir / "src_vocab.txt", vocab_dir / "tgt_vocab.txt"
@@ -84,20 +78,23 @@ def _ensure_vocabs(cfg: RunConfig, train_records: list[ds.MwpRecord] | None) -> 
     if train_records is None:
         raise ds.DatasetError(f"vocabulary files missing under {vocab_dir}")
     src_vocab = build_vocab(tokenize(r.problem_text) for r in train_records)
-    tgt_vocab = build_vocab(_canonical_equation(r).split() for r in train_records)
+    tgt_vocab = build_vocab(target_tokens(r) for r in train_records)
     vocab_dir.mkdir(parents=True, exist_ok=True)
     src_vocab.save(src_path)
     tgt_vocab.save(tgt_path)
     return src_vocab, tgt_vocab
 
 
+def _check_max_len(records, lengths, max_len: int) -> None:
+    """Raise a data error naming the records whose length exceeds ``max_len``."""
+    too_long = [rec.id for rec, n in zip(records, lengths) if n > max_len]
+    if too_long:
+        raise ds.DatasetError(f"{len(too_long)} record(s) exceed max_len={max_len}: {too_long[:5]}")
+
+
 def _checked_pairs(records, src_vocab, tgt_vocab, max_len):
     pairs = prepare_pairs(records, src_vocab, tgt_vocab)
-    too_long = [rec.id for rec, (s, t) in zip(records, pairs) if len(s) > max_len or len(t) - 1 > max_len]
-    if too_long:
-        raise ds.DatasetError(
-            f"{len(too_long)} record(s) exceed max_len={max_len}: {too_long[:5]}"
-        )
+    _check_max_len(records, (max(len(s), len(t) - 1) for s, t in pairs), max_len)
     return pairs
 
 
@@ -126,14 +123,8 @@ def _train_once(
 
 
 def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
-    sources = []
-    for rec in records:
-        src = encode(tokenize(rec.problem_text), ckpt.src_vocab)
-        if not src:
-            raise ds.DatasetError(f"record {rec.id!r} has an empty problem after tokenization")
-        if len(src) > ckpt.config.max_len:
-            raise ds.DatasetError(f"record {rec.id!r} exceeds max_len={ckpt.config.max_len}")
-        sources.append(src)
+    sources = [source_ids(rec, ckpt.src_vocab) for rec in records]
+    _check_max_len(records, map(len, sources), ckpt.config.max_len)
     # decoding stops at non-finite logits with one ValueError (exit 3), so numpy's
     # overflow warnings from huge but finite weights on the way there are not printed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -141,7 +132,7 @@ def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
             decoded = beam_decode_batch(ckpt.params, ckpt.config, sources, beam_size=beam)
         else:
             decoded = greedy_decode_batch(ckpt.params, ckpt.config, sources)
-    return [" ".join(decode(ids, ckpt.tgt_vocab, strip_special=True).tokens) for ids in decoded]
+    return [" ".join(decode(ids, ckpt.tgt_vocab)) for ids in decoded]
 
 
 def _load_checkpoint_file(path: str | Path) -> Checkpoint:
@@ -149,6 +140,21 @@ def _load_checkpoint_file(path: str | Path) -> Checkpoint:
     if not file.is_file():
         raise ds.DatasetError(f"checkpoint not found: {file}")
     return load_checkpoint(file)  # a malformed file raises ValueError, a data error in main
+
+
+def _external_predictions(args, records) -> tuple[list[str], str]:
+    """Predictions from ``--predictions`` or else ``--predictor-cmd``, and their
+    source. The predictor, which may hold a whole file of predictions, is
+    freed on return, before the records are scored."""
+    if args.predictions:
+        pred_file = Path(args.predictions)
+        if not pred_file.is_file():
+            raise ds.DatasetError(f"predictions file not found: {pred_file}")
+        predictor, source = FilePredictions(pred_file), f"predictions file {pred_file}"
+    else:
+        predictor = SubprocessPredictor(shlex.split(args.predictor_cmd))
+        source = f"predictor command {args.predictor_cmd!r}"
+    return external_predict([(r.id, r.problem_text) for r in records], predictor), source
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
@@ -180,7 +186,7 @@ def cmd_datagen(args) -> int:
     ds.save_dataset(records, out)
     counts = ds.summarize(records)
     print(f"wrote {len(records)} records to {out}")
-    for name, count in counts.as_dict().items():
+    for name, count in counts.items():
         print(f"  {name}: {count}")
     return EXIT_OK
 
@@ -189,10 +195,10 @@ def cmd_split(args) -> int:
     records = _load_records(args.in_path, args.format)
     ratios = args.ratios if args.ratios else (0.8, 0.1, 0.1)
     validate_ratios(ratios)
-    split = ds.split_dataset(records, args.seed, ratios)
+    parts = ds.split_dataset(records, args.seed, ratios)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, part in zip(("train", "validation", "test"), split.parts()):
+    for name, part in zip(("train", "validation", "test"), parts):
         ds.save_dataset(part, out_dir / f"{name}.jsonl")
         print(f"{name}: {len(part)} records -> {out_dir / f'{name}.jsonl'}")
     return EXIT_OK
@@ -249,17 +255,8 @@ def cmd_eval(args) -> int:
 
     records = _load_records(test_path, args.format)
     row = {"model": "transformer", "batch_size": "-", "epochs": "-"}
-    if args.predictions:
-        pred_file = Path(args.predictions)
-        if not pred_file.is_file():
-            raise ds.DatasetError(f"predictions file not found: {pred_file}")
-        predictions = external_predict([(r.id, r.problem_text) for r in records], FilePredictions(pred_file))
-        source = f"predictions file {pred_file}"
-        row["model"] = "external"
-    elif args.predictor_cmd:
-        predictor = SubprocessPredictor(shlex.split(args.predictor_cmd))
-        predictions = external_predict([(r.id, r.problem_text) for r in records], predictor)
-        source = f"predictor command {args.predictor_cmd!r}"
+    if args.predictions or args.predictor_cmd:
+        predictions, source = _external_predictions(args, records)
         row["model"] = "external"
     else:
         ckpt = _load_checkpoint_file(args.checkpoint or cfg.checkpoint_path)

@@ -1,4 +1,9 @@
-"""Loading, validating, classifying, and splitting word-problem records."""
+"""Loading, validating, classifying, and splitting word-problem records.
+
+:func:`gold_equation` parses a record's gold equation for class counts,
+training targets and scoring, so a bad one is the same data error naming the
+record wherever it is found; :func:`validate_record` reports it as an issue.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import enum
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -66,39 +71,22 @@ def classify_equation(eq: equation.Equation) -> EquationClass:
     return EquationClass.COMPLEX
 
 
-@dataclass
-class TypeCounts:
-    add: int = 0
-    sub: int = 0
-    mul: int = 0
-    div: int = 0
-    complex: int = 0
-    noop: int = 0
-    total: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "add": self.add,
-            "sub": self.sub,
-            "mul": self.mul,
-            "div": self.div,
-            "complex": self.complex,
-            "noop": self.noop,
-            "total": self.total,
-        }
+def gold_equation(rec: MwpRecord) -> equation.Equation:
+    """The record's parsed gold equation; a parse failure is a
+    :class:`DatasetError` naming the record."""
+    try:
+        return equation.parse_equation(rec.equation_text)
+    except equation.ParseError as exc:
+        raise DatasetError(f"record {rec.id!r}: bad equation: {exc}") from exc
 
 
-def summarize(records: Sequence[MwpRecord]) -> TypeCounts:
-    """Count records per equation class. Unparseable equations are an error."""
-    counts = TypeCounts()
+def summarize(records: Sequence[MwpRecord]) -> dict[str, int]:
+    """Count records per equation class, in :class:`EquationClass` order,
+    then the total. Unparseable equations are an error."""
+    counts = dict.fromkeys([cls.value for cls in EquationClass] + ["total"], 0)
     for rec in records:
-        try:
-            eq = equation.parse_equation(rec.equation_text)
-        except equation.ParseError as exc:
-            raise DatasetError(f"record {rec.id!r}: unparseable equation: {exc}") from exc
-        cls = classify_equation(eq)
-        setattr(counts, cls.value, getattr(counts, cls.value) + 1)
-        counts.total += 1
+        counts[classify_equation(gold_equation(rec)).value] += 1
+    counts["total"] = len(records)
     return counts
 
 
@@ -162,17 +150,6 @@ def validate_record(rec: MwpRecord) -> list[Issue]:
 # --- splitting ----------------------------------------------------------
 
 
-@dataclass
-class DatasetSplit:
-    train: list[MwpRecord]
-    validation: list[MwpRecord]
-    test: list[MwpRecord]
-    seed: int = 0
-
-    def parts(self) -> tuple[list[MwpRecord], list[MwpRecord], list[MwpRecord]]:
-        return self.train, self.validation, self.test
-
-
 def _as_fraction(r) -> Fraction:
     if isinstance(r, float):
         return Fraction(str(r))
@@ -195,8 +172,9 @@ def split_dataset(
     records: Sequence[MwpRecord],
     seed: int,
     ratios: Sequence[Fraction | float | str] = (Fraction(8, 10), Fraction(1, 10), Fraction(1, 10)),
-) -> DatasetSplit:
-    """Shuffle with a seeded PRNG and partition by the given ratios.
+) -> tuple[list[MwpRecord], list[MwpRecord], list[MwpRecord]]:
+    """Shuffle with a seeded PRNG and partition by the given ratios into
+    (train, validation, test).
 
     The same seed and input always produce the identical partition.
     """
@@ -210,12 +188,7 @@ def split_dataset(
     shuffled = list(records)
     random.Random(seed).shuffle(shuffled)
     n_train, n_val, _ = allocate_counts(len(shuffled), fracs)
-    return DatasetSplit(
-        train=shuffled[:n_train],
-        validation=shuffled[n_train : n_train + n_val],
-        test=shuffled[n_train + n_val :],
-        seed=seed,
-    )
+    return shuffled[:n_train], shuffled[n_train : n_train + n_val], shuffled[n_train + n_val :]
 
 
 # --- file formats -------------------------------------------------------

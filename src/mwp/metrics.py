@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import equation
+from .dataset import gold_equation
 from .preprocess import tokenize
 
 CORRECT, WRONG, UNPARSEABLE = "correct", "wrong", "unparseable"
@@ -242,10 +243,7 @@ def evaluate_corpus(
     correct = 0
     tol = Fraction(tolerance)
     for pred, rec in zip(predictions, records):
-        try:
-            ref_eq = equation.parse_equation(rec.equation_text)
-        except equation.ParseError as exc:
-            raise ValueError(f"record {rec.id!r}: reference equation does not parse: {exc}") from exc
+        ref_eq = gold_equation(rec)
         ref_canon = equation.to_canonical_string(ref_eq)
         try:
             ref_value = equation.solve(ref_eq)
@@ -254,7 +252,7 @@ def evaluate_corpus(
 
         verdict, pred_eq, pred_value = _judge(pred, ref_value, tol)
         correct += verdict == CORRECT
-        cand_tokens = tokenize(pred).tokens if pred_eq is None else equation.to_canonical_string(pred_eq).split()
+        cand_tokens = tokenize(pred) if pred_eq is None else equation.to_canonical_string(pred_eq).split()
         ref_tokens = ref_canon.split()
         tallies.append((_match_counts(cand_tokens, ref_tokens, max_n), len(cand_tokens), len(ref_tokens)))
         results.append(

@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..equation import parse_equation, to_canonical_string
+from ..dataset import DatasetError, MwpRecord, gold_equation
+from ..equation import to_canonical_string
 from ..preprocess import PAD_ID, Vocab, encode, tokenize
 from .config import ModelConfig, TrainConfig
 from .network import Parameters, backward, cross_entropy_loss, forward_with_tape
@@ -35,22 +36,28 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def prepare_pairs(records: Sequence, src_vocab: Vocab, tgt_vocab: Vocab) -> list[Pair]:
-    """Encode records into (source ids, target ids) pairs.
-
-    The source is the tokenized problem text; the target is the canonical
-    form of the gold equation wrapped in BOS/EOS, whose tokens are its
+def target_tokens(rec: MwpRecord) -> list[str]:
+    """Tokens of the canonical form of the record's gold equation: its
     ``split()``. Canonicalizing the target makes the supervision insensitive
-    to formatting quirks in the data.
-    """
+    to formatting quirks in the data."""
+    return to_canonical_string(gold_equation(rec)).split()
+
+
+def source_ids(rec: MwpRecord, src_vocab: Vocab) -> list[int]:
+    """Ids of the tokenized problem text; an empty one is a data error."""
+    src = encode(tokenize(rec.problem_text), src_vocab)
+    if not src:
+        raise DatasetError(f"record {rec.id!r} has an empty problem after tokenization")
+    return src
+
+
+def prepare_pairs(records: Sequence[MwpRecord], src_vocab: Vocab, tgt_vocab: Vocab) -> list[Pair]:
+    """Encode records into (source ids, target ids) pairs: the
+    :func:`source_ids` and the :func:`target_tokens` wrapped in BOS/EOS."""
     pairs: list[Pair] = []
     for rec in records:
-        canonical = to_canonical_string(parse_equation(rec.equation_text))
-        src = encode(tokenize(rec.problem_text), src_vocab)
-        tgt = encode(canonical.split(), tgt_vocab, add_bos_eos=True)
-        if not src:
-            raise ValueError(f"record {rec.id!r} has an empty problem after tokenization")
-        pairs.append((src, tgt))
+        tgt = encode(target_tokens(rec), tgt_vocab, add_bos_eos=True)
+        pairs.append((source_ids(rec, src_vocab), tgt))
     return pairs
 
 

@@ -1,14 +1,14 @@
 """Text normalization, tokenization, and vocabulary handling.
 
-Raw problem and equation strings are lowercased, trimmed, and split so that
-every punctuation mark (including the Bengali danda) becomes its own token.
-Token/id mapping is handled by :class:`Vocab` with four reserved ids.
+Raw problem and equation strings are lowercased, trimmed, and split into a
+plain ``list[str]`` in which every punctuation mark (including the Bengali
+danda) is its own token. Token/id mapping is handled by :class:`Vocab` with
+four reserved ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,9 +25,9 @@ _ASCII_TO_BN = str.maketrans(ASCII_DIGITS, BENGALI_DIGITS)
 
 DANDA = "।"  # Bengali full stop
 
-# Danda, ASCII sentence punctuation, and the equation symbols. Extendable per
-# call site; anything not listed passes through untouched.
-DEFAULT_PUNCTUATION = frozenset(DANDA + ",?.()+-*/=")
+# Danda, ASCII sentence punctuation, and the equation symbols; anything not
+# listed passes through untouched.
+PUNCTUATION = DANDA + ",?.()+-*/="
 
 
 def normalize_digits(s: str, direction: str) -> str:
@@ -43,46 +43,35 @@ def normalize_digits(s: str, direction: str) -> str:
     raise ValueError(f"unknown direction: {direction!r}")
 
 
-def normalize_text(s: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> str:
+def normalize_text(s: str) -> str:
     """Lowercase, trim, collapse whitespace, and space out punctuation.
 
     A period flanked by digits on both sides is kept in place so decimal
     literals like ``2.5`` survive as one token. Idempotent.
     """
-    return " ".join(_spaced(s, punctuation).split())
+    return " ".join(tokenize(s))
 
 
-def _spaced(s: str, punctuation: frozenset[str]) -> str:
+def tokenize(s: str) -> list[str]:
+    """Normalize ``s`` and split on spaces. Never yields empty tokens."""
+    return _spaced(s).split()
+
+
+def _spaced(s: str) -> str:
     """``s`` lowercased with a space on each side of every punctuation mark
     but a period between two digits (``str.isdigit``, so ``²`` counts)."""
     s = s.lower()
-    if "." in s and "." in punctuation:
+    if "." in s:
         parts = s.split(".")
         out = [parts[0]]
         for left, right in zip(parts, parts[1:]):
             out.append("." if left[-1:].isdigit() and right[:1].isdigit() else " . ")
             out.append(right)
         s = "".join(out)
-    for ch in punctuation:
-        if ch in s and ch != "." and len(ch) == 1:
+    for ch in PUNCTUATION:
+        if ch in s and ch != ".":
             s = s.replace(ch, f" {ch} ")
     return s
-
-
-@dataclass
-class TokenSequence:
-    """An ordered token list, optionally paired with vocabulary ids."""
-
-    tokens: list[str]
-    ids: list[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def tokenize(s: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> TokenSequence:
-    """Normalize ``s`` and split on spaces. Never yields empty tokens."""
-    return TokenSequence(tokens=_spaced(s, punctuation).split())
 
 
 class Vocab:
@@ -129,24 +118,17 @@ class Vocab:
         return cls(lines[4:])
 
 
-def build_vocab(corpus: Iterable[TokenSequence | Sequence[str]], min_freq: int = 1) -> Vocab:
-    """Collect tokens with frequency >= ``min_freq`` into a :class:`Vocab`."""
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
+def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocab:
+    """Collect every token of ``corpus`` into a :class:`Vocab`, most frequent
+    first, ties in lexicographic order."""
     freq: Counter[str] = Counter()
-    for seq in corpus:
-        tokens = seq.tokens if isinstance(seq, TokenSequence) else seq
+    for tokens in corpus:
         freq.update(tokens)
-    kept = sorted(
-        (t for t, c in freq.items() if c >= min_freq),
-        key=lambda t: (-freq[t], t),
-    )
-    return Vocab(kept)
+    return Vocab(sorted(freq, key=lambda t: (-freq[t], t)))
 
 
-def encode(seq: TokenSequence | Sequence[str], vocab: Vocab, add_bos_eos: bool = False) -> list[int]:
+def encode(tokens: Sequence[str], vocab: Vocab, add_bos_eos: bool = False) -> list[int]:
     """Map tokens to ids; unknown tokens become UNK."""
-    tokens = seq.tokens if isinstance(seq, TokenSequence) else seq
     id_of = vocab.token_to_id.get
     ids = [id_of(t, UNK_ID) for t in tokens]
     if add_bos_eos:
@@ -154,13 +136,7 @@ def encode(seq: TokenSequence | Sequence[str], vocab: Vocab, add_bos_eos: bool =
     return ids
 
 
-def decode(ids: Sequence[int], vocab: Vocab, strip_special: bool = False) -> TokenSequence:
-    """Map ids back to tokens. Inverse of :func:`encode` up to UNK.
-
-    With ``strip_special`` the PAD/BOS/EOS ids are dropped; UNK is kept since
-    it marks a real (if unknown) input token.
-    """
-    kept = list(ids)
-    if strip_special:
-        kept = [i for i in kept if i not in (PAD_ID, BOS_ID, EOS_ID)]
-    return TokenSequence(tokens=[vocab.token_of(i) for i in kept], ids=kept)
+def decode(ids: Sequence[int], vocab: Vocab) -> list[str]:
+    """Map ids back to tokens, dropping PAD/BOS/EOS. Inverse of :func:`encode`
+    up to UNK, which is kept since it marks a real (if unknown) input token."""
+    return [vocab.token_of(i) for i in ids if i not in (PAD_ID, BOS_ID, EOS_ID)]

@@ -13,7 +13,6 @@ task learnable at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -53,12 +52,6 @@ def _div_pair(rng: random.Random, allow_fractions: bool) -> tuple[int, int]:
         return rng.randint(_BIG_LO, _BIG_HI), b
     q_lo = -(-_BIG_LO // b)  # smallest quotient keeping the dividend two-digit
     return b * rng.randint(q_lo, _BIG_HI // b), b
-
-
-@dataclass(frozen=True)
-class _Template:
-    # draws operands and lexical slots; returns (problem text, equation rhs)
-    build: Callable[[random.Random, bool], tuple[str, str]]
 
 
 def _build_add(rng: random.Random, _frac: bool) -> tuple[str, str]:
@@ -124,16 +117,14 @@ def _build_add_div(rng: random.Random, _frac: bool) -> tuple[str, str]:
     return text, f"( {a} + {b} ) / {c}"
 
 
-_TEMPLATES: dict[EquationClass, list[_Template]] = {
-    EquationClass.SIMPLE_ADD: [_Template(_build_add)],
-    EquationClass.SIMPLE_SUB: [_Template(_build_sub)],
-    EquationClass.SIMPLE_MUL: [_Template(_build_mul)],
-    EquationClass.SIMPLE_DIV: [_Template(_build_div)],
-    EquationClass.COMPLEX: [
-        _Template(_build_add_sub),
-        _Template(_build_mul_sub),
-        _Template(_build_add_div),
-    ],
+# Each build function draws operands and lexical slots and returns (problem
+# text, equation rhs). The key order is the order classes are allocated in.
+_TEMPLATES: dict[EquationClass, list[Callable[[random.Random, bool], tuple[str, str]]]] = {
+    EquationClass.SIMPLE_ADD: [_build_add],
+    EquationClass.SIMPLE_SUB: [_build_sub],
+    EquationClass.SIMPLE_MUL: [_build_mul],
+    EquationClass.SIMPLE_DIV: [_build_div],
+    EquationClass.COMPLEX: [_build_add_sub, _build_mul_sub, _build_add_div],
 }
 
 # Class mix of the reference corpus this generator stands in for.
@@ -145,14 +136,7 @@ DEFAULT_PROFILE: Mapping[str, float] = {
     "complex": 0.0248,
 }
 
-_CLASS_ORDER = (
-    EquationClass.SIMPLE_ADD,
-    EquationClass.SIMPLE_SUB,
-    EquationClass.SIMPLE_MUL,
-    EquationClass.SIMPLE_DIV,
-    EquationClass.COMPLEX,
-)
-_CLASS_BY_KEY = {cls.value: cls for cls in _CLASS_ORDER}
+_CLASS_BY_KEY = {cls.value: cls for cls in _TEMPLATES}
 
 
 def _normalize_profile(profile: Mapping) -> dict[EquationClass, Fraction]:
@@ -181,7 +165,7 @@ def generate_synthetic(
     if n < 1:
         raise ValueError("n must be >= 1")
     props = _normalize_profile(profile)
-    classes = [cls for cls in _CLASS_ORDER if cls in props]
+    classes = [cls for cls in _TEMPLATES if cls in props]
     counts = allocate_counts(n, [props[cls] for cls in classes])
     labels: list[EquationClass] = []
     for cls, count in zip(classes, counts):
@@ -192,8 +176,7 @@ def generate_synthetic(
     width = len(str(n))
     records: list[MwpRecord] = []
     for i, cls in enumerate(labels, start=1):
-        template = rng.choice(_TEMPLATES[cls])
-        problem_text, rhs = template.build(rng, allow_fractions)
+        problem_text, rhs = rng.choice(_TEMPLATES[cls])(rng, allow_fractions)
         eq_text = f"x = {rhs}"
         answer = equation.solve(equation.parse_equation(eq_text))
         records.append(

@@ -1,9 +1,10 @@
 """The text front-end as it was before it was made single-pass, kept as the
 reference the differential tests compare the packaged code against.
 
-Verbatim copies of ``preprocess.normalize_text`` and ``preprocess.encode``,
-and of ``equation._lex``, ``_Parser``, ``parse_equation``, ``format_number``
-and ``to_canonical_string``: a character-at-a-time tokenizer, a lexer that
+Copies of ``preprocess.normalize_text`` and ``preprocess.encode`` over a
+punctuation set stated here, and verbatim copies of ``equation._lex``,
+``_Parser``, ``parse_equation``, ``format_number`` and
+``to_canonical_string``: a character-at-a-time tokenizer, a lexer that
 builds a frozen dataclass per token, and ``Fraction(text)`` for every
 number literal. The tree types, the exception classes and the vocabulary
 come from the package, so results and errors compare with ``==``.
@@ -29,12 +30,16 @@ from mwp.equation import (
     UnexpectedToken,
     _precedence,
 )
-from mwp.preprocess import BOS_ID, DEFAULT_PUNCTUATION, EOS_ID, TokenSequence, Vocab, normalize_digits
+from mwp.preprocess import BOS_ID, EOS_ID, Vocab, normalize_digits
 
 # --- preprocess -------------------------------------------------------
 
 
-def normalize_text(s: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> str:
+# the danda, ASCII sentence punctuation and the equation symbols
+PUNCTUATION = frozenset("।,?.()+-*/=")
+
+
+def normalize_text(s: str) -> str:
     """Lowercase, trim, collapse whitespace, and space out punctuation.
 
     A period flanked by digits on both sides is kept in place so decimal
@@ -43,7 +48,7 @@ def normalize_text(s: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) ->
     s = s.lower()
     out: list[str] = []
     for i, ch in enumerate(s):
-        if ch in punctuation:
+        if ch in PUNCTUATION:
             if ch == "." and _is_digit(s, i - 1) and _is_digit(s, i + 1):
                 out.append(ch)
             else:
@@ -57,9 +62,8 @@ def _is_digit(s: str, i: int) -> bool:
     return 0 <= i < len(s) and s[i].isdigit()
 
 
-def encode(seq: TokenSequence | Sequence[str], vocab: Vocab, add_bos_eos: bool = False) -> list[int]:
+def encode(tokens: Sequence[str], vocab: Vocab, add_bos_eos: bool = False) -> list[int]:
     """Map tokens to ids; unknown tokens become UNK."""
-    tokens = seq.tokens if isinstance(seq, TokenSequence) else seq
     ids = [vocab.id_of(t) for t in tokens]
     if add_bos_eos:
         return [BOS_ID] + ids + [EOS_ID]

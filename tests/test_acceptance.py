@@ -316,7 +316,7 @@ def test_c10_digits_and_danda():
     records = generate_synthetic(25, seed=3)
     danda_tokens, danda_ok = 0, True
     for record in records:
-        tokens = tokenize(record.problem_text).tokens
+        tokens = tokenize(record.problem_text)
         danda_tokens += tokens.count(DANDA)
         danda_ok = danda_ok and all(DANDA not in tok for tok in tokens if tok != DANDA)
     ok = digits_ok and danda_ok and danda_tokens == 50

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -193,7 +194,7 @@ def test_datagen_rejects_zero_n(tmp_path, capsys):
 def test_datagen_profile_controls_classes(tmp_path):
     out = tmp_path / "adds.jsonl"
     assert main(["datagen", "--n", "10", "--out", str(out), "--profile", "add=1.0"]) == 0
-    counts = ds.summarize(ds.load_dataset(out)).as_dict()
+    counts = ds.summarize(ds.load_dataset(out))
     assert counts["add"] == 10
 
 
@@ -733,3 +734,41 @@ def test_huge_weight_is_one_data_error_line(trained, capsys):
             assert err.count("\n") == 1 and err.startswith("data error: decoding step 1 gave non-finite logits")
     assert caught == []
     assert not (root / "huge.json").exists()
+
+
+# --- record-level data errors -------------------------------------------------------
+
+LONG_PROBLEM = "আম " * 60  # 60 source tokens, past TINY_MODEL's max_len of 48
+
+
+@pytest.mark.parametrize(
+    "command, part, field, value, vocab_built, expected",
+    [
+        ("train", "train", "equation_text", "x = (3 + 4", False, "record {id}: bad equation: expected ')'"),
+        ("train", "train", "equation_text", "x = (3 + 4", True, "record {id}: bad equation: expected ')'"),
+        ("train", "validation", "equation_text", "x = 3 +", True, "record {id}: bad equation: unexpected end"),
+        ("eval", "test", "equation_text", "x = 3 +", True, "record {id}: bad equation: unexpected end"),
+        ("train", "train", "problem_text", LONG_PROBLEM, False, "1 record(s) exceed max_len=48: [{id}]"),
+        ("eval", "test", "problem_text", LONG_PROBLEM, True, "1 record(s) exceed max_len=48: [{id}]"),
+        ("train", "train", "problem_text", " \t ", False, "record {id} has an empty problem after tokenization"),
+        ("eval", "test", "problem_text", " \t ", True, "record {id} has an empty problem after tokenization"),
+    ],
+    ids=["train-bad-equation", "train-bad-equation-vocab-built", "validation-bad-equation", "eval-bad-equation",
+         "train-too-long", "eval-too-long", "train-blank-problem", "eval-blank-problem"],
+)
+def test_record_data_error_is_one_line_naming_the_record(
+    trained, tmp_path, capsys, command, part, field, value, vocab_built, expected
+):
+    root, _ = trained
+    shutil.copytree(root / "parts", tmp_path / "parts")
+    if vocab_built:
+        shutil.copytree(root / "vocab", tmp_path / "vocab")
+    records = ds.load_dataset(tmp_path / "parts" / f"{part}.jsonl")
+    setattr(records[0], field, value)
+    ds.save_dataset(records, tmp_path / "parts" / f"{part}.jsonl")
+    config = write_config(tmp_path)
+    if command == "eval":
+        (tmp_path / "model.ckpt").write_bytes((root / "model.ckpt").read_bytes())
+    assert main([command, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: " + expected.format(id=repr(records[0].id)))

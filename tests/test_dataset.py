@@ -146,7 +146,7 @@ def test_summarize_counts():
         rec("c", eq="x = 6 / 2"),
         rec("d", eq="x = 1 + 2 * 3"),
     ]
-    counts = summarize(records).as_dict()
+    counts = summarize(records)
     assert counts == {"add": 2, "sub": 0, "mul": 0, "div": 1, "complex": 1, "noop": 0, "total": 4}
 
 
@@ -214,9 +214,9 @@ def test_allocate_counts_exhaustive_conservation():
 
 def test_split_sizes_and_partition():
     records = [rec(i) for i in range(1000)]
-    split = split_dataset(records, seed=7)
-    assert (len(split.train), len(split.validation), len(split.test)) == (800, 100, 100)
-    ids = [r.id for part in split.parts() for r in part]
+    parts = split_dataset(records, seed=7)
+    assert [len(part) for part in parts] == [800, 100, 100]
+    ids = [r.id for part in parts for r in part]
     assert sorted(ids, key=int) == [str(i) for i in range(1000)]
 
 
@@ -224,15 +224,14 @@ def test_split_deterministic():
     records = [rec(i) for i in range(50)]
     a = split_dataset(records, seed=3)
     b = split_dataset(records, seed=3)
-    assert [r.id for r in a.train] == [r.id for r in b.train]
-    assert [r.id for r in a.test] == [r.id for r in b.test]
+    assert [[r.id for r in part] for part in a] == [[r.id for r in part] for part in b]
 
 
 def test_split_seed_changes_partition():
     records = [rec(i) for i in range(50)]
     a = split_dataset(records, seed=1)
     b = split_dataset(records, seed=2)
-    assert [r.id for r in a.train] != [r.id for r in b.train]
+    assert [r.id for r in a[0]] != [r.id for r in b[0]]
 
 
 def test_split_ratio_validation():
@@ -247,6 +246,6 @@ def test_split_ratio_validation():
 
 def test_split_accepts_float_and_string_ratios():
     records = [rec(i) for i in range(10)]
-    split = split_dataset(records, seed=0, ratios=("1/2", 0.25, "1/4"))
+    parts = split_dataset(records, seed=0, ratios=("1/2", 0.25, "1/4"))
     # remainder tie between validation and test goes to the earlier part
-    assert (len(split.train), len(split.validation), len(split.test)) == (5, 3, 2)
+    assert [len(part) for part in parts] == [5, 3, 2]

@@ -242,7 +242,7 @@ def test_evaluate_corpus_length_mismatch():
 
 
 def test_evaluate_corpus_bad_reference():
-    with pytest.raises(ValueError, match="does not parse"):
+    with pytest.raises(ValueError, match="record '0': bad equation"):
         evaluate_corpus(["x = 1"], _records(["nope"]))
     with pytest.raises(ValueError, match="does not solve"):
         evaluate_corpus(["x = 1"], _records(["x = 1 / 0"]))

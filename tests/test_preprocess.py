@@ -12,7 +12,6 @@ from mwp.preprocess import (
     PAD_ID,
     RESERVED_TOKENS,
     UNK_ID,
-    TokenSequence,
     Vocab,
     build_vocab,
     decode,
@@ -70,28 +69,28 @@ def test_normalize_collapses_whitespace():
 
 
 def test_danda_is_own_token():
-    tokens = tokenize("আমার পাঁচটি আম আছে।").tokens
+    tokens = tokenize("আমার পাঁচটি আম আছে।")
     assert tokens[-1] == DANDA
     assert DANDA not in "".join(tokens[:-1])
 
 
 def test_question_mark_split():
-    assert tokenize("মোট কত?").tokens == ["মোট", "কত", "?"]
+    assert tokenize("মোট কত?") == ["মোট", "কত", "?"]
 
 
 def test_operators_split():
-    assert tokenize("x=3+4").tokens == ["x", "=", "3", "+", "4"]
-    assert tokenize("x=(7-3)").tokens == ["x", "=", "(", "7", "-", "3", ")"]
+    assert tokenize("x=3+4") == ["x", "=", "3", "+", "4"]
+    assert tokenize("x=(7-3)") == ["x", "=", "(", "7", "-", "3", ")"]
 
 
 def test_decimal_point_kept_between_digits():
-    assert tokenize("x = 3.5").tokens == ["x", "=", "3.5"]
-    assert tokenize("৩.৫ কেজি").tokens == ["৩.৫", "কেজি"]
+    assert tokenize("x = 3.5") == ["x", "=", "3.5"]
+    assert tokenize("৩.৫ কেজি") == ["৩.৫", "কেজি"]
 
 
 def test_sentence_final_dot_split():
-    assert tokenize("there are 5.").tokens == ["there", "are", "5", "."]
-    assert tokenize("a. b").tokens == ["a", ".", "b"]
+    assert tokenize("there are 5.") == ["there", "are", "5", "."]
+    assert tokenize("a. b") == ["a", ".", "b"]
 
 
 def test_normalize_idempotent_examples():
@@ -108,11 +107,7 @@ def test_normalize_idempotent_property(s):
 
 @given(st.text(max_size=80))
 def test_tokenize_no_empty_tokens(s):
-    assert all(t for t in tokenize(s).tokens)
-
-
-def test_token_sequence_len():
-    assert len(TokenSequence(tokens=["a", "b"])) == 2
+    assert all(t for t in tokenize(s))
 
 
 # --- vocabulary -------------------------------------------------------------
@@ -154,11 +149,6 @@ def test_build_vocab_frequency_then_lexicographic():
     assert [tied.token_of(i) for i in (4, 5)] == ["y", "z"]
 
 
-def test_build_vocab_min_freq():
-    vocab = build_vocab([["a", "a", "b"]], min_freq=2)
-    assert "a" in vocab and "b" not in vocab
-
-
 def test_vocab_save_load_round_trip(tmp_path):
     vocab = build_vocab([tokenize("আমার ৫ টি আম আছে।")])
     path = tmp_path / "vocab.txt"
@@ -181,7 +171,7 @@ def test_encode_decode_round_trip():
     vocab = build_vocab([["মোট", "কত", "?"]])
     tokens = ["মোট", "কত", "?"]
     ids = encode(tokens, vocab)
-    assert decode(ids, vocab).tokens == tokens
+    assert decode(ids, vocab) == tokens
 
 
 def test_encode_adds_bos_eos():
@@ -192,8 +182,7 @@ def test_encode_adds_bos_eos():
 def test_decode_strip_special_keeps_unk():
     vocab = Vocab(["a"])
     ids = [PAD_ID, BOS_ID, 4, UNK_ID, EOS_ID]
-    stripped = decode(ids, vocab, strip_special=True)
-    assert stripped.tokens == ["a", "<unk>"]
+    assert decode(ids, vocab) == ["a", "<unk>"]
 
 
 def test_encode_unknown_to_unk():
@@ -204,4 +193,4 @@ def test_encode_unknown_to_unk():
 @given(st.lists(st.sampled_from(["আম", "কলা", "মোট", "?", "৩"]), max_size=12))
 def test_encode_decode_identity_over_known_tokens(tokens):
     vocab = build_vocab([["আম", "কলা", "মোট", "?", "৩"]])
-    assert decode(encode(tokens, vocab), vocab).tokens == tokens
+    assert decode(encode(tokens, vocab), vocab) == tokens
