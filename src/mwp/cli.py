@@ -143,7 +143,7 @@ def _load_checkpoint_file(path: str | Path) -> Checkpoint:
 
 
 def _external_predictions(args, records) -> tuple[list[str], str]:
-    """Predictions from ``--predictions`` or else ``--predictor-cmd``, and their
+    """Predictions from ``--predictions`` or ``--predictor-cmd``, and their
     source. The predictor, which may hold a whole file of predictions, is
     freed on return, before the records are scored."""
     if args.predictions:
@@ -247,6 +247,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.predictions and args.predictor_cmd:
+        raise ConfigError("give either --predictions or --predictor-cmd, not both")
     cfg = load_run_config(args.config, args.seed)
     test_path = args.in_path or cfg.test_path
     report_path = args.out or cfg.report_path
@@ -266,15 +268,15 @@ def cmd_eval(args) -> int:
         row["epochs"] = ckpt.extra.get("epochs", "-")
 
     report = evaluate_corpus(predictions, records, tolerance=tol)
-    report.metadata = {
+    report["metadata"] = {
         "seed": cfg.seed,
         "source": source,
         "tolerance": str(tol),
         "beam": beam,
         "test_path": str(test_path),
     }
-    _write_json(report_path, report.as_dict())
-    row.update(bleu=report.corpus_bleu, accuracy=report.solution_accuracy)
+    _write_json(report_path, report)
+    row.update(bleu=report["corpus_bleu"], accuracy=report["solution_accuracy"])
     print(format_results_table([row]))
     print(f"report written to {report_path}")
     return EXIT_OK
@@ -298,17 +300,17 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, epochs: tuple) -> list[dict]:
+def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, epochs: tuple,
+                    test_records: list[ds.MwpRecord]) -> list[dict]:
     """Rows of the cells (batch_size, e) for e in epochs, in order, off one run to the largest e,
-    scored on the live parameters after each e. These equal a separate e-epoch run's: a shorter
-    run is an exact prefix of a longer one and decoding draws no random numbers. A scoring
-    failure marks its own cell, any other failure every cell not yet scored."""
+    scored on ``test_records`` with the live parameters after each e. These equal a separate
+    e-epoch run's: a shorter run is an exact prefix of a longer one and decoding draws no random
+    numbers. A scoring failure marks its own cell, any other failure every cell not yet scored."""
     scored: dict[int, dict] = {}
     try:
         cfg = load_run_config(config_path, seed)
         train_records = _load_records(cfg.train_path)
         val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
-        test_records = _load_records(cfg.test_path)
         src_vocab, tgt_vocab = _ensure_vocabs(cfg, train_records)
         model_config = cfg.model_config(len(src_vocab), len(tgt_vocab))
 
@@ -319,7 +321,7 @@ def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, 
                 ckpt = Checkpoint(params=params, config=model_config, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
                 predictions = _predict_with_checkpoint(ckpt, test_records, cfg.beam)
                 report = evaluate_corpus(predictions, test_records, tolerance=cfg.tolerance)
-                scored[epoch] = {"bleu": report.corpus_bleu, "accuracy": report.solution_accuracy}
+                scored[epoch] = {"bleu": report["corpus_bleu"], "accuracy": report["solution_accuracy"]}
             except Exception as exc:  # a cell failure must not kill the remaining cells
                 scored[epoch] = {"error": str(exc)}
 
@@ -348,10 +350,14 @@ def cmd_grid(args) -> int:
     for b in cfg.grid_batch_sizes:  # a bad cell is a config error, found before any training
         for e in cfg.grid_epochs:
             cfg.train_config(batch_size=b, epochs=e)
+    # a missing test set or a bad reference is a data error, also found before any
+    # training: scoring the gold equations runs each one through the scorer's checks
+    test_records = _load_records(cfg.test_path)
+    evaluate_corpus([r.equation_text for r in test_records], test_records)
     # build vocabs up front so concurrent workers never race on the files
     _ensure_vocabs(cfg, _load_records(cfg.train_path))
     batch_sizes = list(dict.fromkeys(cfg.grid_batch_sizes))
-    jobs = [(args.config, cfg.seed, b, cfg.grid_epochs) for b in batch_sizes]
+    jobs = [(args.config, cfg.seed, b, cfg.grid_epochs, test_records) for b in batch_sizes]
     if args.parallel:
         with ProcessPoolExecutor(max_workers=_grid_workers(len(jobs))) as pool:
             runs = dict(zip(batch_sizes, pool.map(_run_grid_batch, *zip(*jobs))))

@@ -12,13 +12,17 @@ BLEU conventions used here:
   because one higher-order count is empty.
 * ``corpus_bleu`` returns the conventional 0..100 scale from micro-averaged
   (pooled) counts with no smoothing; the brevity penalty uses total lengths.
+
+``evaluate_corpus`` is the one scorer of predictions against records. It
+returns the report as a dict: ``corpus_bleu``, ``solution_accuracy``,
+``n_records``, one dict per record under ``per_record`` and an empty
+``metadata``, the layout ``mwp eval`` writes to ``report.json``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,17 +31,6 @@ from .dataset import gold_equation
 from .preprocess import tokenize
 
 CORRECT, WRONG, UNPARSEABLE = "correct", "wrong", "unparseable"
-
-
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def _clipped_matches(candidate: Sequence[str], reference: Sequence[str], n: int) -> tuple[int, int]:
-    cand = _ngram_counts(candidate, n)
-    ref = _ngram_counts(reference, n)
-    matches = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return matches, sum(cand.values())
 
 
 def _brevity_penalty(cand_len: int, ref_len: int) -> float:
@@ -50,12 +43,15 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
 
 def _match_counts(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> list[tuple[int, int]]:
     """Clipped matches and candidate n-gram totals for n = 1..max_n."""
-    return [_clipped_matches(candidate, reference, n) for n in range(1, max_n + 1)]
+    counts = []
+    for n in range(1, max_n + 1):
+        cand = Counter(tuple(candidate[i : i + n]) for i in range(len(candidate) - n + 1))
+        ref = Counter(tuple(reference[i : i + n]) for i in range(len(reference) - n + 1))
+        counts.append((sum(min(count, ref[gram]) for gram, count in cand.items()), sum(cand.values())))
+    return counts
 
 
 def _sentence_bleu_from_counts(counts: list[tuple[int, int]], cand_len: int, ref_len: int) -> float:
-    if cand_len == 0:
-        return 0.0
     log_sum = 0.0
     for n, (matches, total) in enumerate(counts, 1):
         if n == 1:
@@ -97,13 +93,12 @@ def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int
     """Smoothed sentence-level BLEU in [0, 1].
 
     Geometric mean of modified n-gram precisions for n = 1..max_n; the
-    unigram precision is unsmoothed (zero overlap scores zero) and the
-    higher orders get add-one smoothing, times the brevity penalty.
+    unigram precision is unsmoothed (no overlap or an empty candidate scores
+    zero) and the higher orders get add-one smoothing, times the brevity
+    penalty.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if not candidate:
-        return 0.0
     return _sentence_bleu_from_counts(_match_counts(candidate, reference, max_n), len(candidate), len(reference))
 
 
@@ -116,18 +111,13 @@ def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int
     """
     if not pairs:
         raise ValueError("corpus_bleu needs at least one pair")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     tallies = [(_match_counts(c, r, max_n), len(c), len(r)) for c, r in pairs]
     return _corpus_bleu_from_counts(tallies, max_n)
 
 
-# --- solution accuracy ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairVerdict:
-    verdict: str  # CORRECT | WRONG | UNPARSEABLE
-    predicted_value: Fraction | None
-    reference_value: Fraction
+# --- solution accuracy and the corpus report ----------------------------------
 
 
 def _judge(predicted: str, ref_value: Fraction, tol: Fraction) -> tuple[str, equation.Equation | None, Fraction | None]:
@@ -147,74 +137,9 @@ def _judge(predicted: str, ref_value: Fraction, tol: Fraction) -> tuple[str, equ
     return (CORRECT if abs(value - ref_value) <= tol else WRONG), parsed, value
 
 
-def solution_accuracy(
-    pairs: Sequence[tuple[str, str]],
-    tolerance: Fraction | int | str = 0,
-) -> tuple[float, list[PairVerdict]]:
-    """Fraction of predictions whose solved value matches the reference.
-
-    ``pairs`` holds (predicted, reference) equation strings. References must
-    parse and solve; predictions that do not are counted wrong with an
-    ``unparseable`` verdict. The comparison is exact rational equality when
-    ``tolerance`` is 0 (the default).
-    """
-    tol = Fraction(tolerance)
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    verdicts: list[PairVerdict] = []
-    correct = 0
-    for i, (predicted, reference) in enumerate(pairs):
-        try:
-            ref_value = equation.solve(equation.parse_equation(reference))
-        except equation.EquationError as exc:
-            raise ValueError(f"reference equation {i} does not solve: {exc}") from exc
-        verdict, _, pred_value = _judge(predicted, ref_value, tol)
-        verdicts.append(PairVerdict(verdict, pred_value, ref_value))
-        correct += verdict == CORRECT
-    return correct / len(pairs) if pairs else 0.0, verdicts
-
-
-# --- corpus reports ---------------------------------------------------------
-
-
-@dataclass
-class RecordResult:
-    id: str
-    predicted: str
-    reference: str
-    bleu: float
-    solved_value: str | None
-    reference_value: str | None
-    verdict: str
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "predicted": self.predicted,
-            "reference": self.reference,
-            "bleu": self.bleu,
-            "solved_value": self.solved_value,
-            "reference_value": self.reference_value,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass
-class EvalReport:
-    corpus_bleu: float
-    solution_accuracy: float
-    n_records: int
-    per_record: list[RecordResult]
-    metadata: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "corpus_bleu": self.corpus_bleu,
-            "solution_accuracy": self.solution_accuracy,
-            "n_records": self.n_records,
-            "per_record": [r.as_dict() for r in self.per_record],
-            "metadata": self.metadata,
-        }
+class _Report(dict):
+    # bench/spans.py counts a traced call's records as ``result.n_records``
+    n_records = property(lambda self: self["n_records"])
 
 
 def evaluate_corpus(
@@ -222,8 +147,14 @@ def evaluate_corpus(
     records: Sequence,
     tolerance: Fraction | int | str = 0,
     max_n: int = 4,
-) -> EvalReport:
-    """Score one prediction string per record and assemble a report.
+) -> dict:
+    """Score one prediction string per record; return the report dict.
+
+    A prediction is ``correct`` when it solves to within ``tolerance`` of
+    its record's gold equation (exact rational equality at 0, the default),
+    ``wrong`` when it solves to another value, and ``unparseable`` when it
+    does not parse or divides by zero. A gold equation that does not parse
+    or solve is a ``ValueError`` naming its record.
 
     Both sides are canonicalized before BLEU tokenization when they parse,
     which removes detokenization whitespace artifacts without hiding real
@@ -236,12 +167,14 @@ def evaluate_corpus(
         raise ValueError("no records to score")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    results: list[RecordResult] = []
+    tol = Fraction(tolerance)
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
+    per_record: list[dict] = []
     # clipped n-gram counts are taken once per record and serve both the
     # sentence score and the pooled corpus score
     tallies: list[tuple[list[tuple[int, int]], int, int]] = []
     correct = 0
-    tol = Fraction(tolerance)
     for pred, rec in zip(predictions, records):
         ref_eq = gold_equation(rec)
         ref_canon = equation.to_canonical_string(ref_eq)
@@ -255,23 +188,22 @@ def evaluate_corpus(
         cand_tokens = tokenize(pred) if pred_eq is None else equation.to_canonical_string(pred_eq).split()
         ref_tokens = ref_canon.split()
         tallies.append((_match_counts(cand_tokens, ref_tokens, max_n), len(cand_tokens), len(ref_tokens)))
-        results.append(
-            RecordResult(
-                id=rec.id,
-                predicted=pred,
-                reference=ref_canon,
-                bleu=_sentence_bleu_from_counts(*tallies[-1]),
-                solved_value=None if pred_value is None else str(pred_value),
-                reference_value=str(ref_value),
-                verdict=verdict,
-            )
-        )
-    return EvalReport(
-        corpus_bleu=_corpus_bleu_from_counts(tallies, max_n),
-        solution_accuracy=correct / len(records),
-        n_records=len(records),
-        per_record=results,
-    )
+        per_record.append({
+            "id": rec.id,
+            "predicted": pred,
+            "reference": ref_canon,
+            "bleu": _sentence_bleu_from_counts(*tallies[-1]),
+            "solved_value": None if pred_value is None else str(pred_value),
+            "reference_value": str(ref_value),
+            "verdict": verdict,
+        })
+    return _Report({
+        "corpus_bleu": _corpus_bleu_from_counts(tallies, max_n),
+        "solution_accuracy": correct / len(records),
+        "n_records": len(records),
+        "per_record": per_record,
+        "metadata": {},
+    })
 
 
 def format_results_table(rows: Sequence[dict]) -> str:

@@ -21,7 +21,7 @@ from test_equation import oracle_eval, random_expr
 from mwp import dataset as ds
 from mwp.cli import main
 from mwp.equation import DivisionByZero, Equation, evaluate, parse_equation, to_canonical_string
-from mwp.metrics import CORRECT, WRONG, corpus_bleu, sentence_bleu, solution_accuracy
+from mwp.metrics import CORRECT, WRONG, corpus_bleu, evaluate_corpus, sentence_bleu
 from mwp.model.config import ModelConfig, TrainConfig
 from mwp.model.decoding import greedy_decode
 from mwp.model.network import backward, cross_entropy_loss, forward, init_parameters
@@ -239,12 +239,13 @@ def test_c08_bleu_accuracy_divergence():
     different_right = "x = 5 - 1"   # different surface, right value (4)
     bleu_wrong = sentence_bleu(reordered_wrong.split(), reference.split())
     bleu_right = sentence_bleu(different_right.split(), reference.split())
-    _, verdicts = solution_accuracy([(reordered_wrong, reference), (different_right, reference)])
-    ok = (bleu_wrong > bleu_right
-          and verdicts[0].verdict == WRONG and verdicts[1].verdict == CORRECT)
+    records = [ds.MwpRecord(str(i), f"problem {i}", reference) for i in range(2)]
+    report = evaluate_corpus([reordered_wrong, different_right], records)
+    verdicts = [r["verdict"] for r in report["per_record"]]
+    ok = bleu_wrong > bleu_right and verdicts == [WRONG, CORRECT]
     check("bleu/accuracy divergence", ok,
           f"value-wrong bleu {bleu_wrong:.4f} > value-correct bleu {bleu_right:.4f}, "
-          f"verdicts ({verdicts[0].verdict}, {verdicts[1].verdict})")
+          f"verdicts ({verdicts[0]}, {verdicts[1]})")
 
 
 # 9. Bit-level determinism of training and splitting.

@@ -480,6 +480,17 @@ def test_eval_predictor_command_failure_is_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_eval_both_external_inputs_is_config_error(tmp_path, capsys):
+    data, preds = write_gold_predictions(tmp_path, 3)
+    ran = tmp_path / "ran"
+    report_path = tmp_path / "r.json"
+    assert main(["eval", "--in", str(data), "--out", str(report_path), "--predictions", str(preds),
+                 "--predictor-cmd", f"touch {ran}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not ran.exists() and not report_path.exists()
+
+
 def test_eval_missing_checkpoint_is_data_error(tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     main(["datagen", "--n", "3", "--out", str(data)])
@@ -553,15 +564,29 @@ def test_grid_trains_every_cell(tmp_path, capsys):
     assert out.count("transformer") == 2
 
 
-def test_grid_cell_failure_sets_runtime_exit(tmp_path, capsys):
+def test_grid_missing_test_set_is_data_error_before_training(tmp_path, capsys, monkeypatch):
     make_parts(tmp_path)
-    # removing the test split fails each cell while the command itself survives
     (tmp_path / "parts" / "test.jsonl").unlink()
+    calls = count_train_calls(monkeypatch)
     config = write_config(tmp_path, extra="grid.batch_sizes = 4\ngrid.epochs = 1\n")
-    assert main(["grid", "--config", str(config)]) == 4
-    report = json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))
-    assert "error" in report["rows"][0]
-    assert "error" in capsys.readouterr().out
+    assert main(["grid", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "test.jsonl" in err and err.count("\n") == 1
+    assert calls == [] and not (tmp_path / "grid.json").exists()
+
+
+def test_grid_bad_reference_is_data_error_before_training(tmp_path, capsys, monkeypatch):
+    make_parts(tmp_path)
+    test_set = tmp_path / "parts" / "test.jsonl"
+    first, *rest = test_set.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = {**json.loads(first), "equation": "x = 1 / 0"}
+    test_set.write_text(json.dumps(bad, ensure_ascii=False) + "\n" + "".join(rest), encoding="utf-8")
+    calls = count_train_calls(monkeypatch)
+    config = write_config(tmp_path, extra="grid.batch_sizes = 4\ngrid.epochs = 1\n")
+    assert main(["grid", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: record {bad['id']!r}") and err.count("\n") == 1
+    assert calls == [] and not (tmp_path / "grid.json").exists()
 
 
 def test_grid_workers_capped_by_usable_cpus(monkeypatch):

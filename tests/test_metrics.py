@@ -1,5 +1,6 @@
 """BLEU, solution accuracy, and evaluation report tests."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from mwp.metrics import (
     evaluate_corpus,
     format_results_table,
     sentence_bleu,
-    solution_accuracy,
 )
 
 # --- sentence BLEU -----------------------------------------------------------
@@ -103,63 +103,9 @@ def test_corpus_bleu_empty_pairs_rejected():
         corpus_bleu([])
 
 
-# --- solution accuracy --------------------------------------------------------
-
-
-def test_solution_accuracy_value_equality_not_surface():
-    acc, verdicts = solution_accuracy([("x = 4", "x = 7 - 3")])
-    assert acc == 1.0
-    assert verdicts[0].verdict == CORRECT
-    assert verdicts[0].predicted_value == Fraction(4)
-    assert verdicts[0].reference_value == Fraction(4)
-
-
-def test_solution_accuracy_mixed_verdicts():
-    pairs = [
-        ("x = 2 + 3", "x = 5"),
-        ("x = 6", "x = 5"),
-        ("x = ", "x = 5"),
-        ("x = 5 / 0", "x = 5"),
-    ]
-    acc, verdicts = solution_accuracy(pairs)
-    assert acc == 0.25
-    assert [v.verdict for v in verdicts] == [CORRECT, WRONG, UNPARSEABLE, UNPARSEABLE]
-    assert verdicts[2].predicted_value is None
-
-
-def test_solution_accuracy_exact_fractions():
-    acc, verdicts = solution_accuracy([("x = 1 / 3", "x = 1 / 3"), ("x = 0.3333", "x = 1 / 3")])
-    assert [v.verdict for v in verdicts] == [CORRECT, WRONG]
-    assert acc == 0.5
-
-
-def test_solution_accuracy_bengali_digits():
-    acc, _ = solution_accuracy([("x = ৭ - ৩", "x = 4")])
-    assert acc == 1.0
-
-
-def test_solution_accuracy_tolerance():
-    pair = [("x = 3.01", "x = 3")]
-    assert solution_accuracy(pair)[0] == 0.0
-    assert solution_accuracy(pair, tolerance="1/50")[0] == 1.0
-    assert solution_accuracy(pair, tolerance=Fraction(1, 100))[0] == 1.0
-
-
-def test_solution_accuracy_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
-        solution_accuracy([("x = 1", "x = 1")], tolerance=-1)
-
-
-def test_solution_accuracy_bad_reference_rejected():
-    with pytest.raises(ValueError, match="reference equation 0"):
-        solution_accuracy([("x = 1", "x = 1 / 0")])
-    with pytest.raises(ValueError, match="reference equation 1"):
-        solution_accuracy([("x = 1", "x = 1"), ("x = 1", "garbage")])
-
-
-def test_solution_accuracy_empty_pairs():
-    acc, verdicts = solution_accuracy([])
-    assert acc == 0.0 and verdicts == []
+def test_corpus_bleu_max_n_validation():
+    with pytest.raises(ValueError, match="max_n"):
+        corpus_bleu([(["a"], ["a"])], max_n=0)
 
 
 # --- corpus evaluation ----------------------------------------------------------
@@ -169,51 +115,87 @@ def _records(eqs):
     return [MwpRecord(str(i), f"problem {i}", eq) for i, eq in enumerate(eqs)]
 
 
+# case: (predictions, gold equations, tolerance, verdicts, solved values); a
+# refused input has the expected ValueError message in place of the verdicts
+SCORING_CASES = {
+    "value_equality_not_surface": (["x = 4"], ["x = 7 - 3"], 0, [CORRECT], ["4"]),
+    "mixed_verdicts": (
+        ["x = 2 + 3", "x = 6", "x = ", "x = 5 / 0"], ["x = 5"] * 4, 0,
+        [CORRECT, WRONG, UNPARSEABLE, UNPARSEABLE], ["5", "6", None, None],
+    ),
+    "exact_fractions": (["x = 1 / 3", "x = 0.3333"], ["x = 1 / 3"] * 2, 0, [CORRECT, WRONG], ["1/3", "3333/10000"]),
+    "bengali_digits": (["x = ৭ - ৩"], ["x = 4"], 0, [CORRECT], ["4"]),
+    "tolerance_zero": (["x = 3.01"], ["x = 3"], 0, [WRONG], ["301/100"]),
+    "tolerance_string": (["x = 3.01"], ["x = 3"], "1/50", [CORRECT], ["301/100"]),
+    "tolerance_fraction": (["x = 3.01"], ["x = 3"], Fraction(1, 100), [CORRECT], ["301/100"]),
+    "reference_divides_by_zero": (["x = 1"], ["x = 1 / 0"], 0, "record '0': reference equation does not solve", None),
+    "reference_unparseable": (["x = 1", "x = 1"], ["x = 1", "garbage"], 0, "record '1': bad equation", None),
+    "empty_corpus": ([], [], 0, "no records to score", None),
+}
+
+
+@pytest.mark.parametrize(
+    "predictions, golds, tolerance, verdicts, solved", SCORING_CASES.values(), ids=SCORING_CASES.keys()
+)
+def test_evaluate_corpus_verdicts(predictions, golds, tolerance, verdicts, solved):
+    if isinstance(verdicts, str):
+        with pytest.raises(ValueError, match=verdicts):
+            evaluate_corpus(predictions, _records(golds), tolerance=tolerance)
+        return
+    report = evaluate_corpus(predictions, _records(golds), tolerance=tolerance)
+    assert [r["verdict"] for r in report["per_record"]] == verdicts
+    assert [r["solved_value"] for r in report["per_record"]] == solved
+    assert report["solution_accuracy"] == verdicts.count(CORRECT) / len(verdicts)
+
+
+def test_evaluate_corpus_negative_tolerance_rejected():
+    with pytest.raises(ValueError, match="tolerance"):
+        evaluate_corpus(["x = 1"], _records(["x = 1"]), tolerance=-1)
+
+
 def test_evaluate_corpus_gold_predictions_perfect():
     records = _records(["x = 7 - 3", "x = ( 1 + 2 ) / 3", "x = 5"])
     # same equations in denser surface form; canonicalization aligns them
     report = evaluate_corpus(["x=7-3", "x=(1+2)/3", "x=5"], records)
-    assert report.corpus_bleu == 100.0
-    assert report.solution_accuracy == 1.0
-    assert report.n_records == 3
-    assert [r.verdict for r in report.per_record] == [CORRECT] * 3
+    assert report["corpus_bleu"] == 100.0
+    assert report["solution_accuracy"] == 1.0
+    assert report["n_records"] == 3
+    assert [r["verdict"] for r in report["per_record"]] == [CORRECT] * 3
 
 
 def test_evaluate_corpus_value_right_surface_reordered():
     report = evaluate_corpus(["x = 3 + 2"], _records(["x = 2 + 3"]))
-    record = report.per_record[0]
-    assert record.verdict == CORRECT
-    assert record.bleu == pytest.approx(0.4272870063962341, abs=1e-9)
-    assert report.solution_accuracy == 1.0
-    assert report.corpus_bleu < 100.0
+    record = report["per_record"][0]
+    assert record["verdict"] == CORRECT
+    assert record["bleu"] == pytest.approx(0.4272870063962341, abs=1e-9)
+    assert report["solution_accuracy"] == 1.0
+    assert report["corpus_bleu"] < 100.0
 
 
 def test_evaluate_corpus_bleu_and_accuracy_disagree():
     # value-wrong prediction outscores the value-correct reordering on BLEU
-    wrong = evaluate_corpus(["x = 2 + 4"], _records(["x = 2 + 3"]))
-    right = evaluate_corpus(["x = 3 + 2"], _records(["x = 2 + 3"]))
-    assert wrong.per_record[0].verdict == WRONG
-    assert right.per_record[0].verdict == CORRECT
-    assert wrong.per_record[0].bleu > right.per_record[0].bleu
+    wrong = evaluate_corpus(["x = 2 + 4"], _records(["x = 2 + 3"]))["per_record"][0]
+    right = evaluate_corpus(["x = 3 + 2"], _records(["x = 2 + 3"]))["per_record"][0]
+    assert wrong["verdict"] == WRONG
+    assert right["verdict"] == CORRECT
+    assert wrong["bleu"] > right["bleu"]
 
 
 def test_evaluate_corpus_unparseable_prediction():
     report = evaluate_corpus(["x = 2 +"], _records(["x = 2 + 3"]))
-    record = report.per_record[0]
-    assert record.verdict == UNPARSEABLE
-    assert record.solved_value is None
-    assert record.reference_value == "5"
-    assert report.solution_accuracy == 0.0
+    record = report["per_record"][0]
+    assert record["verdict"] == UNPARSEABLE
+    assert record["solved_value"] is None
+    assert record["reference_value"] == "5"
+    assert report["solution_accuracy"] == 0.0
 
 
 def test_division_by_zero_prediction_same_verdict_both_ways():
-    _, verdicts = solution_accuracy([("x = 4 / 0", "x = 4")])
-    report = evaluate_corpus(["x=4/0"], _records(["x = 4"]))
-    record = report.per_record[0]
-    assert verdicts[0].verdict == record.verdict == UNPARSEABLE
-    assert verdicts[0].predicted_value is None and record.solved_value is None
+    record = evaluate_corpus(["x=4/0"], _records(["x = 4"]))["per_record"][0]
+    assert record["verdict"] == UNPARSEABLE
+    assert record["solved_value"] is None
     # it parses, so BLEU tokenizes its canonical form, without the parentheses
-    bleu = [evaluate_corpus([p], _records(["x = 4 / 2"])).per_record[0].bleu for p in ("x = ((4)) / 0", "x = 4 / 0")]
+    bleu = [evaluate_corpus([p], _records(["x = 4 / 2"]))["per_record"][0]["bleu"] for p in ("x = ((4)) / 0", "x = 4 / 0")]
     assert bleu[0] == bleu[1] > 0.0
 
 
@@ -233,7 +215,7 @@ def test_evaluate_corpus_parses_each_equation_once(monkeypatch):
 
 def test_evaluate_corpus_tolerance_passthrough():
     report = evaluate_corpus(["x = 3.01"], _records(["x = 3"]), tolerance="1/50")
-    assert report.solution_accuracy == 1.0
+    assert report["solution_accuracy"] == 1.0
 
 
 def test_evaluate_corpus_length_mismatch():
@@ -249,8 +231,8 @@ def test_evaluate_corpus_bad_reference():
 
 
 def test_evaluate_corpus_report_dict_shape():
-    report = evaluate_corpus(["x = 4"], _records(["x = 4"]))
-    data = report.as_dict()
+    data = evaluate_corpus(["x = 4"], _records(["x = 4"]))
+    assert isinstance(data, dict)
     assert set(data) == {"corpus_bleu", "solution_accuracy", "n_records", "per_record", "metadata"}
     assert set(data["per_record"][0]) == {
         "id",
@@ -262,6 +244,80 @@ def test_evaluate_corpus_report_dict_shape():
         "verdict",
     }
     assert data["metadata"] == {}
+
+
+GOLDEN_REPORT = """\
+{
+  "corpus_bleu": 45.68780090854671,
+  "solution_accuracy": 0.3333333333333333,
+  "n_records": 6,
+  "per_record": [
+    {
+      "id": "g1",
+      "predicted": "x = ৭ - ৩",
+      "reference": "x = 7 - 3",
+      "bleu": 1.0,
+      "solved_value": "4",
+      "reference_value": "4",
+      "verdict": "correct"
+    },
+    {
+      "id": "g2",
+      "predicted": "x = 3 + 2",
+      "reference": "x = 2 + 3",
+      "bleu": 0.4272870063962341,
+      "solved_value": "5",
+      "reference_value": "5",
+      "verdict": "correct"
+    },
+    {
+      "id": "g3",
+      "predicted": "x = 2 + 4",
+      "reference": "x = 2 + 3",
+      "bleu": 0.7521206186172787,
+      "solved_value": "6",
+      "reference_value": "5",
+      "verdict": "wrong"
+    },
+    {
+      "id": "g4",
+      "predicted": "x = 1 +",
+      "reference": "x = ( 1 + 2 ) / 3",
+      "bleu": 0.17035677145427366,
+      "solved_value": null,
+      "reference_value": "1",
+      "verdict": "unparseable"
+    },
+    {
+      "id": "g5",
+      "predicted": "x = 4 / 0",
+      "reference": "x = 4 / 2",
+      "bleu": 0.7521206186172787,
+      "solved_value": null,
+      "reference_value": "2",
+      "verdict": "unparseable"
+    },
+    {
+      "id": "g6",
+      "predicted": "x = 0.3333",
+      "reference": "x = 1 / 3",
+      "bleu": 0.35250657096759425,
+      "solved_value": "3333/10000",
+      "reference_value": "1/3",
+      "verdict": "wrong"
+    }
+  ],
+  "metadata": {}
+}"""
+
+
+def test_evaluate_corpus_report_bytes():
+    # every verdict, unparseable both ways, a Bengali-digit prediction and a fractional value
+    golds = ["x = 7 - 3", "x = 2 + 3", "x = 2 + 3", "x = ( 1 + 2 ) / 3", "x = 4 / 2", "x = 1 / 3"]
+    predictions = ["x = ৭ - ৩", "x = 3 + 2", "x = 2 + 4", "x = 1 +", "x = 4 / 0", "x = 0.3333"]
+    records = [MwpRecord(f"g{i}", f"problem {i}", eq) for i, eq in enumerate(golds, 1)]
+    report = evaluate_corpus(predictions, records)
+    assert json.dumps(report, indent=2, ensure_ascii=False) == GOLDEN_REPORT
 
 
 # --- results table ---------------------------------------------------------------
