@@ -1,11 +1,11 @@
 """Atomic file replacement for the artifacts the CLI writes.
 
-A file is written under a temporary name in its own directory and moved
-over the target with ``os.replace`` only once every byte is written, so a
-reader sees either the old file or the complete new one, and a write that
-fails midway leaves the old file as it was and no temporary file behind.
-This guards against failed or interrupted writes, not against power loss:
-nothing is fsynced.
+A file is written under a temporary name in its own directory, which is
+created first if it is missing, and moved over the target with
+``os.replace`` only once every byte is written, so a reader sees either the
+old file or the complete new one, and a write that fails midway leaves the
+old file as it was and no temporary file behind. This guards against failed
+or interrupted writes, not against power loss: nothing is fsynced.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ def atomic_file(path: str | Path):
     """A binary file handle whose contents replace ``path`` when the block
     exits without an exception; on an exception nothing is replaced."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     # 0o666 lets the umask set the mode, as a plain open() would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -1,10 +1,12 @@
 """Command-line pipeline: mwp datagen|split|train|eval|solve|grid.
 
-Exit codes: 0 success, 2 configuration errors (bad flags or config files),
-3 data errors (missing or malformed datasets, vocab or id mismatches,
-unparseable input equations), 4 runtime errors (division by zero, external
-predictor failures, standard output closed by its reader). Identical inputs
-and seed produce byte-identical output artifacts.
+Exit codes: 0 success, 2 configuration errors (bad flags or config files,
+including a ``--predictor-cmd`` that names no command or does not split into
+words), 3 data errors (missing or malformed datasets, vocab or id
+mismatches, unparseable input equations), 4 runtime errors (division by
+zero, an external predictor that cannot start or exits non-zero, standard
+output closed by its reader). Identical inputs and seed produce
+byte-identical output artifacts.
 """
 
 from __future__ import annotations
@@ -26,20 +28,11 @@ from . import synth
 from .atomic import write_text_atomic
 from .equation import DivisionByZero, ParseError, format_number, parse_equation, solve
 from .metrics import evaluate_corpus, format_results_table
-from .model import (
-    Checkpoint,
-    FilePredictions,
-    SubprocessPredictor,
-    beam_decode_batch,
-    external_predict,
-    greedy_decode_batch,
-    init_parameters,
-    load_checkpoint,
-    prepare_pairs,
-    save_checkpoint,
-    train,
-)
-from .model.training import source_ids, target_tokens
+from .model.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .model.decoding import beam_decode_batch, greedy_decode_batch
+from .model.external import FilePredictions, SubprocessPredictor, external_predict
+from .model.network import init_parameters
+from .model.training import prepare_pairs, source_ids, target_tokens, train
 from .preprocess import Vocab, build_vocab, decode, tokenize
 from .runconfig import ConfigError, RunConfig, as_tolerance, checked_beam, load_run_config, validate_ratios
 
@@ -79,7 +72,6 @@ def _ensure_vocabs(cfg: RunConfig, train_records: list[ds.MwpRecord] | None) -> 
         raise ds.DatasetError(f"vocabulary files missing under {vocab_dir}")
     src_vocab = build_vocab(tokenize(r.problem_text) for r in train_records)
     tgt_vocab = build_vocab(target_tokens(r) for r in train_records)
-    vocab_dir.mkdir(parents=True, exist_ok=True)
     src_vocab.save(src_path)
     tgt_vocab.save(tgt_path)
     return src_vocab, tgt_vocab
@@ -118,8 +110,8 @@ def _train_once(
     # train stops a diverging run with one RuntimeError (exit 4), so numpy's
     # overflow and invalid-value warnings on the way there are not printed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = train(params, model_config, train_config, pairs, val_pairs, callback=callback)
-    return result.params, model_config, train_config
+        params = train(params, model_config, train_config, pairs, val_pairs, callback=callback)
+    return params, model_config, train_config
 
 
 def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
@@ -142,25 +134,36 @@ def _load_checkpoint_file(path: str | Path) -> Checkpoint:
     return load_checkpoint(file)  # a malformed file raises ValueError, a data error in main
 
 
-def _external_predictions(args, records) -> tuple[list[str], str]:
-    """Predictions from ``--predictions`` or ``--predictor-cmd``, and their
-    source. The predictor, which may hold a whole file of predictions, is
-    freed on return, before the records are scored."""
-    if args.predictions:
+def _predictor_argv(command: str) -> list[str]:
+    """The words of ``--predictor-cmd``; a command that does not split into
+    at least one word is a config error."""
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:  # unbalanced quotes or a trailing escape
+        raise ConfigError(f"--predictor-cmd {command!r}: {exc}") from exc
+    if not argv:
+        raise ConfigError("--predictor-cmd names no command")
+    return argv
+
+
+def _external_predictions(args, predictor_argv: list[str] | None, records) -> tuple[list[str], str]:
+    """Predictions from ``--predictions`` or the ``--predictor-cmd`` words
+    ``predictor_argv``, and their source. The predictor, which may hold a
+    whole file of predictions, is freed on return, before the records are
+    scored."""
+    if predictor_argv is None:
         pred_file = Path(args.predictions)
         if not pred_file.is_file():
             raise ds.DatasetError(f"predictions file not found: {pred_file}")
         predictor, source = FilePredictions(pred_file), f"predictions file {pred_file}"
     else:
-        predictor = SubprocessPredictor(shlex.split(args.predictor_cmd))
+        predictor = SubprocessPredictor(predictor_argv)
         source = f"predictor command {args.predictor_cmd!r}"
     return external_predict([(r.id, r.problem_text) for r in records], predictor), source
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 # --- commands ---------------------------------------------------------------
@@ -182,7 +185,6 @@ def cmd_datagen(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     ds.save_dataset(records, out)
     counts = ds.summarize(records)
     print(f"wrote {len(records)} records to {out}")
@@ -197,7 +199,6 @@ def cmd_split(args) -> int:
     validate_ratios(ratios)
     parts = ds.split_dataset(records, args.seed, ratios)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in zip(("train", "validation", "test"), parts):
         ds.save_dataset(part, out_dir / f"{name}.jsonl")
         print(f"{name}: {len(part)} records -> {out_dir / f'{name}.jsonl'}")
@@ -223,11 +224,9 @@ def cmd_train(args) -> int:
         cfg, train_records, val_records, src_vocab, tgt_vocab, callback=on_epoch
     )
     history = Path(cfg.history_path)
-    history.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(history, "".join(line + "\n" for line in lines))
 
     ckpt_path = Path(cfg.checkpoint_path)
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         ckpt_path,
         params,
@@ -247,8 +246,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.predictions and args.predictor_cmd:
+    if args.predictions is not None and args.predictor_cmd is not None:
         raise ConfigError("give either --predictions or --predictor-cmd, not both")
+    predictor_argv = None if args.predictor_cmd is None else _predictor_argv(args.predictor_cmd)
     cfg = load_run_config(args.config, args.seed)
     test_path = args.in_path or cfg.test_path
     report_path = args.out or cfg.report_path
@@ -257,8 +257,8 @@ def cmd_eval(args) -> int:
 
     records = _load_records(test_path, args.format)
     row = {"model": "transformer", "batch_size": "-", "epochs": "-"}
-    if args.predictions or args.predictor_cmd:
-        predictions, source = _external_predictions(args, records)
+    if args.predictions is not None or predictor_argv is not None:
+        predictions, source = _external_predictions(args, predictor_argv, records)
         row["model"] = "external"
     else:
         ckpt = _load_checkpoint_file(args.checkpoint or cfg.checkpoint_path)

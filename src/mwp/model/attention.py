@@ -15,11 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, restricted to positions where mask is True."""
-    if mask is None:
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
     allowed = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
     row_max = np.where(allowed, scores, -np.inf).max(axis=-1, keepdims=True)
     row_max = np.where(np.isfinite(row_max), row_max, 0.0)

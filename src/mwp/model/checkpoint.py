@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ def save_checkpoint(
     manifest = [{"key": k, "shape": list(params[k].shape)} for k in sorted(params)]
     meta = {
         "version": FORMAT_VERSION,
-        "model_config": config.as_dict(),
+        "model_config": asdict(config),
         "src_vocab": src_vocab.id_to_token,
         "tgt_vocab": tgt_vocab.id_to_token,
         "tensors": manifest,
@@ -87,7 +87,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if missing:
             raise ValueError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
         try:
-            config = ModelConfig.from_dict(meta["model_config"])
+            config = ModelConfig(**meta["model_config"])
         except TypeError as exc:
             raise ValueError(f"{path}: bad model_config: {exc}") from exc
         src_vocab = _vocab_from_tokens(path, "src_vocab", meta["src_vocab"], config.src_vocab_size)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,6 @@ class ModelConfig:
     @property
     def d_k(self) -> int:
         return self.d_model // self.n_heads
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,16 @@ class SubprocessPredictor:
             json.dumps({"id": str(rid), "problem": problem}, ensure_ascii=False) + "\n"
             for rid, problem in items
         )
-        proc = subprocess.run(
-            self.argv,
-            input=request,
-            capture_output=True,
-            text=True,
-            timeout=self.timeout,
-        )
+        try:
+            proc = subprocess.run(
+                self.argv,
+                input=request,
+                capture_output=True,
+                text=True,
+                timeout=self.timeout,
+            )
+        except OSError as exc:  # no such program, or not executable
+            raise RuntimeError(f"predictor command {self.argv[0]!r} could not start: {exc}") from exc
         if proc.returncode != 0:
             tail = proc.stderr.strip().splitlines()[-5:]
             raise RuntimeError(

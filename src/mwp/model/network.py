@@ -450,13 +450,9 @@ class DecoderCache:
         )
 
 
-def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, batch: int | None = None) -> DecoderCache:
-    """An empty cache for ``batch`` rows (default: one per memory row); a
-    memory of one record serves every row."""
-    batch = memory.shape[0] if batch is None else batch
-    if memory.shape[0] not in (1, batch):
-        raise ValueError(f"a memory of {memory.shape[0]} records cannot serve {batch} rows")
-    record = None if memory.shape[0] == batch else np.zeros(batch, dtype=np.intp)
+def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask) -> DecoderCache:
+    """An empty cache with one row per memory row."""
+    batch = memory.shape[0]
     n = config.n_decoder_layers
     weights = [
         tuple(_fuse_heads(params[f"dec{i}.{name}"]) for name in ("self.w_q", "self.w_k", "self.w_v", "cross.w_q"))
@@ -467,7 +463,7 @@ def start_decoding(params: Parameters, config: ModelConfig, memory, src_mask, ba
         for i in range(n)
     ]
     empty = np.empty((batch, config.n_heads, 0, config.d_k))
-    return DecoderCache(weights, cross, src_mask, record, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
+    return DecoderCache(weights, cross, src_mask, None, [empty] * n, [empty] * n, np.empty((batch, 0), dtype=bool))
 
 
 def _decoder_block(params, config, cache, tgt, memory=None, tape=None, train=False, rng=None):
@@ -525,5 +521,7 @@ def decode_step(params: Parameters, config: ModelConfig, cache: DecoderCache, to
 def decode_logits(params: Parameters, config: ModelConfig, memory, src_mask, tgt_in_ids):
     """Logits (B, T_tgt, V) for target prefixes against an encoded memory."""
     tgt = _check_batch("tgt_in_ids", np.atleast_2d(np.asarray(tgt_in_ids)), config.max_len)
-    cache = start_decoding(params, config, memory, src_mask, batch=tgt.shape[0])
+    if memory.shape[0] != tgt.shape[0]:
+        raise ValueError(f"a memory of {memory.shape[0]} records cannot serve {tgt.shape[0]} prefixes")
+    cache = start_decoding(params, config, memory, src_mask)
     return _decoder_block(params, config, cache, tgt)

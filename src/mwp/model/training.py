@@ -8,7 +8,7 @@ and data produce bit-identical parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,12 +28,6 @@ class EpochStats:
     epoch: int
     train_loss: float
     val_loss: float | None
-
-
-@dataclass
-class TrainResult:
-    params: Parameters
-    history: list[EpochStats] = field(default_factory=list)
 
 
 def target_tokens(rec: MwpRecord) -> list[str]:
@@ -106,27 +100,25 @@ def train(
     train_pairs: Sequence[Pair],
     val_pairs: Sequence[Pair] | None = None,
     callback: Callable[[EpochStats, Parameters], None] | None = None,
-) -> TrainResult:
+) -> Parameters:
     """Run Adam over shuffled minibatches for the configured epoch count.
 
-    Returns the final parameters and per-epoch loss history; the input
-    parameters are never modified. With epochs=0 they come back as they
-    are and the history is empty. A non-finite training loss, non-finite
-    parameters at the end of an epoch, or a non-finite validation loss
-    raise ``RuntimeError`` naming the epoch. ``callback(stats, params)`` runs
-    after each epoch's checks pass, with the live parameters: training goes on
-    updating those arrays in place, so the callback must neither keep nor
-    change them.
+    Returns the final parameters; the input parameters are never modified.
+    With epochs=0 they come back as they are. A non-finite training loss,
+    non-finite parameters at the end of an epoch, or a non-finite validation
+    loss raise ``RuntimeError`` naming the epoch. ``callback(stats, params)``
+    runs after each epoch's checks pass, with that epoch's ``EpochStats`` and
+    the live parameters: training goes on updating those arrays in place, so
+    the callback must neither keep nor change them.
     """
     if not train_pairs:
         raise ValueError("train needs at least one training pair")
     if not train_config.epochs:
-        return TrainResult(params=params)
+        return params
     rng = np.random.default_rng(train_config.seed)
     params = {k: p.copy() for k, p in params.items()}  # updated in place, so never the caller's arrays
     state = init_adam(params)
     scratch = adam_scratch(params)
-    history: list[EpochStats] = []
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(len(train_pairs))
         total, tokens = 0.0, 0
@@ -149,7 +141,6 @@ def train(
             if not math.isfinite(val_loss):
                 raise RuntimeError(f"validation loss is {val_loss} at epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=total / tokens, val_loss=val_loss)
-        history.append(stats)
         if callback is not None:
             callback(stats, params)
-    return TrainResult(params=params, history=history)
+    return params

@@ -130,6 +130,7 @@ def test_c03_causality_exact():
 # 4. Overfit: 64 records, reference configuration, >= 95% exact match.
 
 
+@pytest.mark.slow
 def test_c04_overfit_64_records():
     start = time.monotonic()
     records = generate_synthetic(64, seed=0)
@@ -139,7 +140,7 @@ def test_c04_overfit_64_records():
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab))
     params = init_parameters(config, np.random.default_rng(0))
     epochs = 100  # within the 300-epoch budget
-    params = train(params, config, TrainConfig(batch_size=8, epochs=epochs, seed=0), pairs).params
+    params = train(params, config, TrainConfig(batch_size=8, epochs=epochs, seed=0), pairs)
     hits = sum(greedy_decode(params, config, src) == tgt[1:-1] for src, tgt in pairs)
     elapsed = time.monotonic() - start
     check("overfit", hits >= 0.95 * len(pairs) and elapsed < 300,
@@ -150,6 +151,7 @@ def test_c04_overfit_64_records():
 # 5. End-to-end generalization through the command-line pipeline.
 
 
+@pytest.mark.slow
 def test_c05_end_to_end_generalization(tmp_path):
     start = time.monotonic()
     data = tmp_path / "data.jsonl"

@@ -26,6 +26,13 @@ def test_write_replaces_the_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_write_creates_missing_parent_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    write_text_atomic(path, "নতুন\n")
+    assert path.read_text(encoding="utf-8") == "নতুন\n"
+    assert os.listdir(path.parent) == ["out.txt"]
+
+
 def test_failure_midway_keeps_old_file_and_leaves_no_temp(tmp_path):
     path = tmp_path / "out.bin"
     path.write_bytes(b"old contents")

@@ -12,19 +12,23 @@ import pytest
 from mwp.model.attention import causal_mask, masked_softmax, padding_mask, positional_encoding
 from mwp.model.network import _attend, _mha_fwd
 
+EVERY_KEY = np.ones((1, 1, 1, 1), dtype=bool)  # broadcasts to any score shape
 
-def attend(q, k, v, mask=None):
-    """``_attend`` on one (T, d) head: its weights and its output before ``w_o``."""
+
+def attend(q, k, v, mask=EVERY_KEY):
+    """``_attend`` on one (T, d) head, by default with no key masked: its
+    weights and its output before ``w_o``."""
     params = {"a.w_o": np.eye(v.shape[-1])}
     _, weights, heads = _attend(params, "a", q[None, None], k[None, None], v[None, None], mask)
     return weights[0, 0], heads[0]
 
 
-def mha(query, key, value, w_q, w_k, w_v, w_o, mask=None):
-    """``_mha_fwd``: the output (B, T_q, D) and the per-head weights (B, H, T_q, T_k)."""
+def mha(query, key, value, w_q, w_k, w_v, w_o):
+    """``_mha_fwd`` with no key masked: the output (B, T_q, D) and the
+    per-head weights (B, H, T_q, T_k)."""
     params = {"m.w_q": w_q, "m.w_k": w_k, "m.w_v": w_v, "m.w_o": w_o}
     tape: dict = {}
-    out = _mha_fwd(params, "m", query, key, value, mask, tape)
+    out = _mha_fwd(params, "m", query, key, value, EVERY_KEY, tape)
     return out, tape["m"][6]
 
 # --- masked softmax ----------------------------------------------------------
@@ -33,7 +37,7 @@ def mha(query, key, value, w_q, w_k, w_v, w_o, mask=None):
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(3, 5, 7))
-    w = masked_softmax(scores)
+    w = masked_softmax(scores, np.ones_like(scores, dtype=bool))
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -55,7 +59,7 @@ def test_fully_masked_row_is_all_zero():
 
 
 def test_softmax_stable_for_huge_scores():
-    w = masked_softmax(np.array([[1e9, 1e9 - 1.0]]))
+    w = masked_softmax(np.array([[1e9, 1e9 - 1.0]]), np.array([[True, True]]))
     assert np.all(np.isfinite(w))
     assert w[0, 0] > w[0, 1]
 
@@ -109,7 +113,7 @@ def test_scores_scale_by_inverse_sqrt_dk():
         k = rng.normal(size=(5, d_k))
         v = rng.normal(size=(5, 2))
         weights, _ = attend(q, k, v)
-        manual = masked_softmax((q @ k.T) / math.sqrt(d_k))
+        manual = masked_softmax((q @ k.T) / math.sqrt(d_k), np.ones((1, 5), dtype=bool))
         np.testing.assert_allclose(weights, manual, atol=1e-12)
 
 

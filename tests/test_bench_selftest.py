@@ -12,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_bench_selftest_passes():
     proc = subprocess.run(
         [sys.executable, "bench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=600,

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shlex
 import shutil
 import struct
 import subprocess
@@ -489,6 +490,39 @@ def test_eval_both_external_inputs_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not ran.exists() and not report_path.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--predictor-cmd", ""],  # splits to no words
+    ["--predictor-cmd", "'x"],  # unbalanced quotes
+    ["--predictions", "", "--predictor-cmd", "cat"],
+])
+def test_eval_malformed_external_flags_are_config_errors(tmp_path, capsys, flags):
+    # found before the test set or a checkpoint is read: neither exists here
+    report_path = tmp_path / "r.json"
+    assert main(["eval", "--in", str(tmp_path / "missing.jsonl"), "--checkpoint", str(tmp_path / "no.ckpt"),
+                 "--out", str(report_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not report_path.exists()
+
+
+def test_eval_empty_predictions_path_is_not_a_checkpoint_run(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["datagen", "--n", "3", "--out", str(data)])
+    assert main(["eval", "--in", str(data), "--checkpoint", str(tmp_path / "no.ckpt"),
+                 "--out", str(tmp_path / "r.json"), "--predictions", ""]) == 3
+    assert capsys.readouterr().err.startswith("data error: predictions file not found")
+
+
+def test_eval_predictor_that_cannot_start_is_runtime_error(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["datagen", "--n", "3", "--out", str(data)])
+    missing = str(tmp_path / "no-such-program")
+    assert main(["eval", "--in", str(data), "--out", str(tmp_path / "r.json"),
+                 "--predictor-cmd", shlex.quote(missing)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and missing in err and err.count("\n") == 1
 
 
 def test_eval_missing_checkpoint_is_data_error(tmp_path, capsys):

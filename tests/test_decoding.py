@@ -51,7 +51,7 @@ def overfit_setup():
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), **SMALL)
     params = init_parameters(config, np.random.default_rng(0))
     tc = TrainConfig(batch_size=3, epochs=150, learning_rate=3e-3, seed=0)
-    params = train(params, config, tc, pairs).params
+    params = train(params, config, tc, pairs)
     return params, config, pairs
 
 
@@ -436,16 +436,13 @@ def test_decoders_never_copy_cross_keys_and_values(decode, monkeypatch):
     assert seen  # rows were dropped or regrouped at least once
 
 
-def test_memory_of_one_record_serves_every_row():
+def test_decode_logits_needs_one_memory_row_per_prefix():
     params, config = random_setup(153)
     memory, src_mask = encode(params, config, [[5, 6, 7]])
-    prefixes = np.array([[BOS_ID, 4], [BOS_ID, 6]])
-    shared = decode_logits(params, config, memory, src_mask, prefixes)
-    repeated = decode_logits(params, config, np.repeat(memory, 2, axis=0), np.repeat(src_mask, 2, axis=0), prefixes)
-    np.testing.assert_allclose(shared, repeated, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="cannot serve"):
-        decode_logits(params, config, np.repeat(memory, 2, axis=0), np.repeat(src_mask, 2, axis=0),
-                      np.array([[BOS_ID]] * 3))
+    for records, prefixes in ((1, 2), (2, 3)):
+        with pytest.raises(ValueError, match=f"memory of {records} records cannot serve {prefixes} prefixes"):
+            decode_logits(params, config, np.repeat(memory, records, axis=0), np.repeat(src_mask, records, axis=0),
+                          np.array([[BOS_ID, 4]] * prefixes))
 
 
 # --- greedy chunks encoded in slices, one cache alive at a time ---------------------

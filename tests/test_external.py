@@ -155,6 +155,12 @@ def test_subprocess_inventing_an_id_fails_alignment(tmp_path):
         external_predict(ITEMS, SubprocessPredictor(script_argv(tmp_path, body)))
 
 
+def test_subprocess_program_that_cannot_start_raises_runtime_error(tmp_path):
+    predictor = SubprocessPredictor([str(tmp_path / "no-such-program")])
+    with pytest.raises(RuntimeError, match="'.*no-such-program' could not start"):
+        predictor.predict(ITEMS)
+
+
 def test_subprocess_empty_argv_rejected():
     with pytest.raises(ValueError, match="argv"):
         SubprocessPredictor([])

@@ -25,6 +25,13 @@ def make_pairs(n=8, seed=5):
     return prepare_pairs(records, src_vocab, tgt_vocab), src_vocab, tgt_vocab
 
 
+def train_with_history(*args, **kwargs):
+    """``train``'s parameters and the ``EpochStats`` its callback saw."""
+    history = []
+    params = train(*args, callback=lambda stats, params: history.append(stats), **kwargs)
+    return params, history
+
+
 # --- pair preparation ----------------------------------------------------------
 
 
@@ -120,10 +127,10 @@ def test_zero_epochs_returns_params_unchanged():
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(1))
-    result = train(params, config, TrainConfig(epochs=0), pairs)
-    assert result.history == []
+    trained, history = train_with_history(params, config, TrainConfig(epochs=0), pairs)
+    assert history == []
     for key in params:
-        np.testing.assert_array_equal(result.params[key], params[key])
+        np.testing.assert_array_equal(trained[key], params[key])
 
 
 def test_zero_epochs_builds_no_optimizer_state(monkeypatch):
@@ -138,9 +145,9 @@ def test_zero_epochs_builds_no_optimizer_state(monkeypatch):
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(1))
-    result = train(params, config, TrainConfig(epochs=0), pairs)
-    assert result.history == []
-    assert all(result.params[key] is params[key] for key in params)
+    trained, history = train_with_history(params, config, TrainConfig(epochs=0), pairs)
+    assert history == []
+    assert all(trained[key] is params[key] for key in params)
     with pytest.raises(ValueError, match="at least one"):
         train(params, config, TrainConfig(epochs=0), [])
 
@@ -151,10 +158,10 @@ def test_training_reduces_loss():
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(2))
     tc = TrainConfig(batch_size=4, epochs=20, learning_rate=3e-3, seed=0)
-    result = train(params, config, tc, pairs)
-    assert len(result.history) == 20
-    assert result.history[-1].train_loss < 0.5 * result.history[0].train_loss
-    assert all(np.isfinite(s.train_loss) for s in result.history)
+    _, history = train_with_history(params, config, tc, pairs)
+    assert len(history) == 20
+    assert history[-1].train_loss < 0.5 * history[0].train_loss
+    assert all(np.isfinite(s.train_loss) for s in history)
 
 
 def test_history_carries_validation_loss():
@@ -162,10 +169,10 @@ def test_history_carries_validation_loss():
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(3))
-    result = train(params, config, TrainConfig(epochs=2), pairs[:4], val_pairs=pairs[4:])
-    assert all(s.val_loss is not None and np.isfinite(s.val_loss) for s in result.history)
-    no_val = train(params, config, TrainConfig(epochs=1), pairs[:4])
-    assert no_val.history[0].val_loss is None
+    _, history = train_with_history(params, config, TrainConfig(epochs=2), pairs[:4], val_pairs=pairs[4:])
+    assert all(s.val_loss is not None and np.isfinite(s.val_loss) for s in history)
+    _, no_val = train_with_history(params, config, TrainConfig(epochs=1), pairs[:4])
+    assert no_val[0].val_loss is None
 
 
 def test_same_seed_is_bit_identical():
@@ -175,11 +182,11 @@ def test_same_seed_is_bit_identical():
                          dropout=0.1, **SMALL)
     params = init_parameters(config, np.random.default_rng(4))
     tc = TrainConfig(batch_size=4, epochs=3, seed=9)
-    first = train(params, config, tc, pairs)
-    second = train(params, config, tc, pairs)
-    for key in first.params:
-        np.testing.assert_array_equal(first.params[key], second.params[key])
-    assert [s.train_loss for s in first.history] == [s.train_loss for s in second.history]
+    first, first_history = train_with_history(params, config, tc, pairs)
+    second, second_history = train_with_history(params, config, tc, pairs)
+    for key in first:
+        np.testing.assert_array_equal(first[key], second[key])
+    assert [s.train_loss for s in first_history] == [s.train_loss for s in second_history]
 
 
 def test_different_seeds_diverge():
@@ -189,7 +196,7 @@ def test_different_seeds_diverge():
     params = init_parameters(config, np.random.default_rng(4))
     a = train(params, config, TrainConfig(batch_size=4, epochs=2, seed=0), pairs)
     b = train(params, config, TrainConfig(batch_size=4, epochs=2, seed=1), pairs)
-    assert any(not np.array_equal(a.params[k], b.params[k]) for k in a.params)
+    assert any(not np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_gradient_clipping_path_runs():
@@ -197,8 +204,8 @@ def test_gradient_clipping_path_runs():
     config = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(5))
-    result = train(params, config, TrainConfig(epochs=2, clip_norm=0.05), pairs)
-    assert all(np.isfinite(s.train_loss) for s in result.history)
+    _, history = train_with_history(params, config, TrainConfig(epochs=2, clip_norm=0.05), pairs)
+    assert all(np.isfinite(s.train_loss) for s in history)
 
 
 def test_callback_sees_every_epoch():
@@ -220,7 +227,7 @@ def test_callback_params_equal_a_shorter_run():
     train(params, config, TrainConfig(batch_size=2, epochs=3), pairs,
           callback=lambda s, p: seen.update({s.epoch: {k: v.copy() for k, v in p.items()}}))
     for epochs in (1, 2):
-        shorter = train(params, config, TrainConfig(batch_size=2, epochs=epochs), pairs).params
+        shorter = train(params, config, TrainConfig(batch_size=2, epochs=epochs), pairs)
         for key in shorter:
             np.testing.assert_array_equal(seen[epochs][key], shorter[key])
 
@@ -257,7 +264,7 @@ def test_train_leaves_input_params_untouched():
                          dropout=0.0, **SMALL)
     params = init_parameters(config, np.random.default_rng(3))
     before = {k: p.copy() for k, p in params.items()}
-    result = train(params, config, TrainConfig(batch_size=2, epochs=2, seed=0), pairs)
+    trained = train(params, config, TrainConfig(batch_size=2, epochs=2, seed=0), pairs)
     for key in params:
         np.testing.assert_array_equal(params[key], before[key])
-    assert any(not np.array_equal(result.params[key], before[key]) for key in params)
+    assert any(not np.array_equal(trained[key], before[key]) for key in params)
