@@ -1,12 +1,14 @@
 """Command-line pipeline: mwp datagen|split|train|eval|solve|grid.
 
 Exit codes: 0 success, 2 configuration errors (bad flags or config files,
-including a ``--predictor-cmd`` that names no command or does not split into
-words), 3 data errors (missing or malformed datasets, vocab or id
-mismatches, unparseable input equations), 4 runtime errors (division by
-zero, an external predictor that cannot start or exits non-zero, standard
-output closed by its reader). Identical inputs and seed produce
-byte-identical output artifacts.
+including an empty path flag, a ``--predictor-cmd`` that names no command or
+does not split into words, and an odd ``model.d_model``), 3 data errors
+(missing or malformed datasets, vocab or id mismatches, unparseable input
+equations, and for ``grid`` a bad train, validation or test record, found
+before any training), 4 runtime errors (division by zero, an external
+predictor that cannot start or exits non-zero, standard output closed by its
+reader, a grid cell whose training or scoring failed). Identical inputs and
+seed produce byte-identical output artifacts.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,12 +32,13 @@ from .atomic import write_text_atomic
 from .equation import DivisionByZero, ParseError, format_number, parse_equation, solve
 from .metrics import evaluate_corpus, format_results_table
 from .model.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .model.config import ModelConfig, TrainConfig
 from .model.decoding import beam_decode_batch, greedy_decode_batch
 from .model.external import FilePredictions, SubprocessPredictor, external_predict
 from .model.network import init_parameters
 from .model.training import prepare_pairs, source_ids, target_tokens, train
 from .preprocess import Vocab, build_vocab, decode, tokenize
-from .runconfig import ConfigError, RunConfig, as_tolerance, checked_beam, load_run_config, validate_ratios
+from .runconfig import ConfigError, RunConfig, as_tolerance, checked_beam, load_run_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,31 +54,12 @@ def _format_value(value: Fraction) -> str:
         return str(value)
 
 
-def _infer_format(path: str | Path, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "tsv" if str(path).endswith(".tsv") else "jsonl"
-
-
 def _load_records(path: str | Path, fmt: str | None = None) -> list[ds.MwpRecord]:
+    """Records of a dataset file, read as ``fmt`` or by its extension."""
     file = Path(path)
     if not file.is_file():
         raise ds.DatasetError(f"dataset file not found: {file}")
-    return ds.load_dataset(file, format=_infer_format(file, fmt))
-
-
-def _ensure_vocabs(cfg: RunConfig, train_records: list[ds.MwpRecord] | None) -> tuple[Vocab, Vocab]:
-    vocab_dir = Path(cfg.vocab_dir)
-    src_path, tgt_path = vocab_dir / "src_vocab.txt", vocab_dir / "tgt_vocab.txt"
-    if src_path.is_file() and tgt_path.is_file():
-        return Vocab.load(src_path), Vocab.load(tgt_path)
-    if train_records is None:
-        raise ds.DatasetError(f"vocabulary files missing under {vocab_dir}")
-    src_vocab = build_vocab(tokenize(r.problem_text) for r in train_records)
-    tgt_vocab = build_vocab(target_tokens(r) for r in train_records)
-    src_vocab.save(src_path)
-    tgt_vocab.save(tgt_path)
-    return src_vocab, tgt_vocab
+    return ds.load_dataset(file, format=fmt or ("tsv" if str(file).endswith(".tsv") else "jsonl"))
 
 
 def _check_max_len(records, lengths, max_len: int) -> None:
@@ -90,28 +75,45 @@ def _checked_pairs(records, src_vocab, tgt_vocab, max_len):
     return pairs
 
 
-def _train_once(
-    cfg: RunConfig,
-    train_records,
-    val_records,
-    src_vocab: Vocab,
-    tgt_vocab: Vocab,
-    batch_size: int | None = None,
-    epochs: int | None = None,
-    callback=None,
-):
+class TrainingInputs(NamedTuple):
+    model_config: ModelConfig
+    src_vocab: Vocab
+    tgt_vocab: Vocab
+    pairs: list
+    val_pairs: list | None
+    train_config: TrainConfig | None
+
+
+def _training_inputs(cfg: RunConfig, train_config: Callable[[], TrainConfig] | None = None) -> TrainingInputs:
+    """What a run of ``cfg`` trains on: the vocabularies (built from the train records when
+    missing), the ``ModelConfig`` and the checked train and validation pairs (the latter when
+    that file exists). ``train_config`` builds the run's ``TrainConfig`` after the
+    ``ModelConfig``, so a bad setting is reported before a bad record."""
+    train_records = _load_records(cfg.train_path)
+    val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
+    src_path, tgt_path = Path(cfg.vocab_dir) / "src_vocab.txt", Path(cfg.vocab_dir) / "tgt_vocab.txt"
+    if src_path.is_file() and tgt_path.is_file():
+        src_vocab, tgt_vocab = Vocab.load(src_path), Vocab.load(tgt_path)
+    else:
+        src_vocab = build_vocab(tokenize(r.problem_text) for r in train_records)
+        tgt_vocab = build_vocab(target_tokens(r) for r in train_records)
+        src_vocab.save(src_path)
+        tgt_vocab.save(tgt_path)
     model_config = cfg.model_config(len(src_vocab), len(tgt_vocab))
-    train_config = cfg.train_config(batch_size=batch_size, epochs=epochs)
+    settings = train_config() if train_config else None
     pairs = _checked_pairs(train_records, src_vocab, tgt_vocab, model_config.max_len)
-    val_pairs = (
-        _checked_pairs(val_records, src_vocab, tgt_vocab, model_config.max_len) if val_records else None
-    )
-    params = init_parameters(model_config, np.random.default_rng(train_config.seed))
+    val_pairs = _checked_pairs(val_records, src_vocab, tgt_vocab, model_config.max_len) if val_records else None
+    if not pairs:
+        raise ds.DatasetError(f"no training records in {cfg.train_path}")
+    return TrainingInputs(model_config, src_vocab, tgt_vocab, pairs, val_pairs, settings)
+
+
+def _train_once(inputs: TrainingInputs, train_config: TrainConfig, callback=None):
+    params = init_parameters(inputs.model_config, np.random.default_rng(train_config.seed))
     # train stops a diverging run with one RuntimeError (exit 4), so numpy's
     # overflow and invalid-value warnings on the way there are not printed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        params = train(params, model_config, train_config, pairs, val_pairs, callback=callback)
-    return params, model_config, train_config
+        return train(params, inputs.model_config, train_config, inputs.pairs, inputs.val_pairs, callback=callback)
 
 
 def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
@@ -162,6 +164,14 @@ def _external_predictions(args, predictor_argv: list[str] | None, records) -> tu
     return external_predict([(r.id, r.problem_text) for r in records], predictor), source
 
 
+def _reject_empty_paths(**flags: str | None) -> None:
+    """An empty path flag is a config error: it names no file, and falling
+    back to the config's path would act on a file nobody asked for."""
+    for name, value in flags.items():
+        if value == "":
+            raise ConfigError(f"--{name} needs a path, got an empty value")
+
+
 def _write_json(path: str | Path, payload: dict) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
@@ -196,7 +206,10 @@ def cmd_datagen(args) -> int:
 def cmd_split(args) -> int:
     records = _load_records(args.in_path, args.format)
     ratios = args.ratios if args.ratios else (0.8, 0.1, 0.1)
-    validate_ratios(ratios)
+    try:
+        ds.split_fractions(ratios)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     parts = ds.split_dataset(records, args.seed, ratios)
     out_dir = Path(args.out_dir)
     for name, part in zip(("train", "validation", "test"), parts):
@@ -207,9 +220,8 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    train_records = _load_records(cfg.train_path)
-    val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
-    src_vocab, tgt_vocab = _ensure_vocabs(cfg, train_records)
+    inputs = _training_inputs(cfg, cfg.train_config)
+    train_config = inputs.train_config
 
     lines: list[str] = []
 
@@ -220,38 +232,27 @@ def cmd_train(args) -> int:
         lines.append(line)
         print(line)
 
-    params, model_config, train_config = _train_once(
-        cfg, train_records, val_records, src_vocab, tgt_vocab, callback=on_epoch
-    )
+    params = _train_once(inputs, train_config, callback=on_epoch)
     history = Path(cfg.history_path)
     write_text_atomic(history, "".join(line + "\n" for line in lines))
 
     ckpt_path = Path(cfg.checkpoint_path)
-    save_checkpoint(
-        ckpt_path,
-        params,
-        model_config,
-        src_vocab,
-        tgt_vocab,
-        extra={
-            "seed": train_config.seed,
-            "batch_size": train_config.batch_size,
-            "epochs": train_config.epochs,
-            "learning_rate": train_config.learning_rate,
-        },
-    )
+    extra = {key: getattr(train_config, key) for key in ("seed", "batch_size", "epochs", "learning_rate")}
+    save_checkpoint(ckpt_path, params, inputs.model_config, inputs.src_vocab, inputs.tgt_vocab, extra=extra)
     print(f"saved checkpoint to {ckpt_path}")
     print(f"history written to {history}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    _reject_empty_paths(**{"in": args.in_path, "out": args.out, "checkpoint": args.checkpoint,
+                           "predictions": args.predictions})
     if args.predictions is not None and args.predictor_cmd is not None:
         raise ConfigError("give either --predictions or --predictor-cmd, not both")
     predictor_argv = None if args.predictor_cmd is None else _predictor_argv(args.predictor_cmd)
     cfg = load_run_config(args.config, args.seed)
-    test_path = args.in_path or cfg.test_path
-    report_path = args.out or cfg.report_path
+    test_path = cfg.test_path if args.in_path is None else args.in_path
+    report_path = cfg.report_path if args.out is None else args.out
     beam = cfg.beam if args.beam is None else checked_beam(args.beam)
     tol = cfg.tolerance if args.tolerance is None else as_tolerance(args.tolerance)
 
@@ -261,9 +262,10 @@ def cmd_eval(args) -> int:
         predictions, source = _external_predictions(args, predictor_argv, records)
         row["model"] = "external"
     else:
-        ckpt = _load_checkpoint_file(args.checkpoint or cfg.checkpoint_path)
+        ckpt_path = cfg.checkpoint_path if args.checkpoint is None else args.checkpoint
+        ckpt = _load_checkpoint_file(ckpt_path)
         predictions = _predict_with_checkpoint(ckpt, records, beam)
-        source = f"checkpoint {args.checkpoint or cfg.checkpoint_path}"
+        source = f"checkpoint {ckpt_path}"
         row["batch_size"] = ckpt.extra.get("batch_size", "-")
         row["epochs"] = ckpt.extra.get("epochs", "-")
 
@@ -283,6 +285,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _reject_empty_paths(checkpoint=args.checkpoint)
     if args.equation and args.problem:
         raise ConfigError("give either --equation or a problem text, not both")
     if args.equation:
@@ -292,7 +295,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("nothing to solve: pass --equation or a problem text")
     cfg = load_run_config(args.config)
     beam = cfg.beam if args.beam is None else checked_beam(args.beam)
-    ckpt = _load_checkpoint_file(args.checkpoint or cfg.checkpoint_path)
+    ckpt = _load_checkpoint_file(cfg.checkpoint_path if args.checkpoint is None else args.checkpoint)
     record = ds.MwpRecord(id="cli", problem_text=args.problem, equation_text="x = 0", answer=None)
     predicted = _predict_with_checkpoint(ckpt, [record], beam)[0]
     print(f"equation: {predicted}")
@@ -300,36 +303,31 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, epochs: tuple,
+def _run_grid_batch(cfg: RunConfig, inputs: TrainingInputs, batch_size: int, epochs: tuple,
                     test_records: list[ds.MwpRecord]) -> list[dict]:
     """Rows of the cells (batch_size, e) for e in epochs, in order, off one run to the largest e,
     scored on ``test_records`` with the live parameters after each e. These equal a separate
     e-epoch run's: a shorter run is an exact prefix of a longer one and decoding draws no random
     numbers. A scoring failure marks its own cell, any other failure every cell not yet scored."""
     scored: dict[int, dict] = {}
+
+    def score(epoch: int, params) -> None:
+        if epoch not in epochs:
+            return
+        try:
+            ckpt = Checkpoint(params, inputs.model_config, inputs.src_vocab, inputs.tgt_vocab)
+            predictions = _predict_with_checkpoint(ckpt, test_records, cfg.beam)
+            report = evaluate_corpus(predictions, test_records, tolerance=cfg.tolerance)
+            scored[epoch] = {"bleu": report["corpus_bleu"], "accuracy": report["solution_accuracy"]}
+        except Exception as exc:  # a cell failure must not kill the remaining cells
+            scored[epoch] = {"error": str(exc)}
+
     try:
-        cfg = load_run_config(config_path, seed)
-        train_records = _load_records(cfg.train_path)
-        val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
-        src_vocab, tgt_vocab = _ensure_vocabs(cfg, train_records)
-        model_config = cfg.model_config(len(src_vocab), len(tgt_vocab))
-
-        def score(epoch: int, params) -> None:
-            if epoch not in epochs:
-                return
-            try:
-                ckpt = Checkpoint(params=params, config=model_config, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
-                predictions = _predict_with_checkpoint(ckpt, test_records, cfg.beam)
-                report = evaluate_corpus(predictions, test_records, tolerance=cfg.tolerance)
-                scored[epoch] = {"bleu": report["corpus_bleu"], "accuracy": report["solution_accuracy"]}
-            except Exception as exc:  # a cell failure must not kill the remaining cells
-                scored[epoch] = {"error": str(exc)}
-
-        run = (cfg, train_records, val_records, src_vocab, tgt_vocab, batch_size)
-        if 0 in epochs:  # train calls back after each epoch only, so a 0-epoch cell gets its own run
-            score(0, _train_once(*run, epochs=0)[0])
+        if 0 in epochs:  # train calls back after each epoch only; 0 epochs are the initial parameters
+            score(0, init_parameters(inputs.model_config, np.random.default_rng(cfg.seed)))
         if max(epochs) > 0:
-            _train_once(*run, epochs=max(epochs), callback=lambda stats, params: score(stats.epoch, params))
+            train_config = cfg.train_config(batch_size=batch_size, epochs=max(epochs))
+            _train_once(inputs, train_config, callback=lambda stats, params: score(stats.epoch, params))
     except Exception as exc:
         scored = {e: scored.get(e, {"error": str(exc)}) for e in epochs}
     row = {"model": "transformer", "batch_size": batch_size}
@@ -338,10 +336,7 @@ def _run_grid_batch(config_path: str | None, seed: int | None, batch_size: int, 
 
 def _grid_workers(batch_sizes: int) -> int:
     """One process per batch size, at most one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(batch_sizes, cpus)
 
 
@@ -354,10 +349,11 @@ def cmd_grid(args) -> int:
     # training: scoring the gold equations runs each one through the scorer's checks
     test_records = _load_records(cfg.test_path)
     evaluate_corpus([r.equation_text for r in test_records], test_records)
-    # build vocabs up front so concurrent workers never race on the files
-    _ensure_vocabs(cfg, _load_records(cfg.train_path))
+    # the train and validation data once, in this process: a data error there
+    # is found before any training too, and the workers only train and score
+    inputs = _training_inputs(cfg)
     batch_sizes = list(dict.fromkeys(cfg.grid_batch_sizes))
-    jobs = [(args.config, cfg.seed, b, cfg.grid_epochs, test_records) for b in batch_sizes]
+    jobs = [(cfg, inputs, b, cfg.grid_epochs, test_records) for b in batch_sizes]
     if args.parallel:
         with ProcessPoolExecutor(max_workers=_grid_workers(len(jobs))) as pool:
             runs = dict(zip(batch_sizes, pool.map(_run_grid_batch, *zip(*jobs))))

@@ -150,12 +150,6 @@ def validate_record(rec: MwpRecord) -> list[Issue]:
 # --- splitting ----------------------------------------------------------
 
 
-def _as_fraction(r) -> Fraction:
-    if isinstance(r, float):
-        return Fraction(str(r))
-    return Fraction(r)
-
-
 def allocate_counts(n: int, proportions: Sequence[Fraction]) -> list[int]:
     """Largest-remainder apportionment of ``n`` items; ties favor earlier
     entries (train before validation before test)."""
@@ -168,6 +162,22 @@ def allocate_counts(n: int, proportions: Sequence[Fraction]) -> list[int]:
     return base
 
 
+def split_fractions(ratios: Sequence[Fraction | float | str]) -> list[Fraction]:
+    """The split ratios as exact fractions (a float as it is written). The
+    rule for them: three positive numbers that sum exactly to 1."""
+    if len(ratios) != 3:
+        raise ValueError(f"split ratios must have exactly three entries, got {ratios!r}")
+    try:
+        fracs = [Fraction(str(r)) if isinstance(r, float) else Fraction(r) for r in ratios]
+    except (ValueError, ZeroDivisionError):  # nan, inf or a malformed string
+        fracs = [Fraction(0)]
+    if any(f <= 0 for f in fracs):
+        raise ValueError(f"split ratios must be three positive numbers, got {ratios!r}")
+    if sum(fracs) != 1:
+        raise ValueError(f"split ratios must sum to 1, got {ratios!r} (sum {sum(fracs)})")
+    return fracs
+
+
 def split_dataset(
     records: Sequence[MwpRecord],
     seed: int,
@@ -178,11 +188,7 @@ def split_dataset(
 
     The same seed and input always produce the identical partition.
     """
-    if len(ratios) != 3:
-        raise ValueError("ratios must have exactly three entries")
-    fracs = [_as_fraction(r) for r in ratios]
-    if sum(fracs) != 1:
-        raise ValueError(f"ratios must sum to 1, got {[str(f) for f in fracs]}")
+    fracs = split_fractions(ratios)
     if not records:
         raise ValueError("cannot split an empty record list")
     shuffled = list(records)

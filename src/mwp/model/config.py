@@ -23,6 +23,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.d_model % 2:  # the sinusoidal position table pairs up its dimensions
+            raise ValueError(f"d_model must be even, got {self.d_model}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

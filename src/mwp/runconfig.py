@@ -81,15 +81,6 @@ def checked_beam(beam: int) -> int:
     return beam
 
 
-def validate_ratios(ratios) -> None:
-    """Ratios must be three positive numbers that sum exactly to 1."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ConfigError(f"split ratios must be three positive numbers, got {ratios!r}")
-    total = sum(Fraction(str(r)) for r in ratios)
-    if total != 1:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios!r} (sum {total})")
-
-
 @dataclass
 class RunConfig:
     # dataset and artifact paths

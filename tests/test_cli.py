@@ -496,6 +496,7 @@ def test_eval_both_external_inputs_is_config_error(tmp_path, capsys):
     ["--predictor-cmd", ""],  # splits to no words
     ["--predictor-cmd", "'x"],  # unbalanced quotes
     ["--predictions", "", "--predictor-cmd", "cat"],
+    ["--predictions", ""],  # an empty path, not a checkpoint run
 ])
 def test_eval_malformed_external_flags_are_config_errors(tmp_path, capsys, flags):
     # found before the test set or a checkpoint is read: neither exists here
@@ -507,12 +508,20 @@ def test_eval_malformed_external_flags_are_config_errors(tmp_path, capsys, flags
     assert not report_path.exists()
 
 
-def test_eval_empty_predictions_path_is_not_a_checkpoint_run(tmp_path, capsys):
-    data = tmp_path / "data.jsonl"
-    main(["datagen", "--n", "3", "--out", str(data)])
-    assert main(["eval", "--in", str(data), "--checkpoint", str(tmp_path / "no.ckpt"),
-                 "--out", str(tmp_path / "r.json"), "--predictions", ""]) == 3
-    assert capsys.readouterr().err.startswith("data error: predictions file not found")
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--in"), ("eval", "--out"), ("eval", "--checkpoint"), ("eval", "--predictions"),
+    ("solve", "--checkpoint"),
+])
+def test_empty_path_flag_is_config_error(trained, capsys, command, flag):
+    # every file the config names exists, so falling back to it would succeed
+    root, _ = trained
+    config = str(root / "run.cfg")
+    out = root / "report.json"
+    before = out.read_bytes() if out.exists() else None
+    argv = ["eval", "--config", config] if command == "eval" else ["solve", "--config", config, "problem"]
+    assert main([*argv, flag, ""]) == 2
+    assert capsys.readouterr().err == f"config error: {flag} needs a path, got an empty value\n"
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 def test_eval_predictor_that_cannot_start_is_runtime_error(tmp_path, capsys):
@@ -577,6 +586,18 @@ def test_negative_beam_is_config_error_before_loading_a_checkpoint(tmp_path, cap
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_odd_d_model_is_config_error(tmp_path, capsys, monkeypatch, command):
+    make_parts(tmp_path)
+    calls = count_train_calls(monkeypatch)
+    config = write_config(tmp_path, extra="model.d_model = 9\nmodel.n_heads = 3\n")
+    config.write_text(config.read_text(encoding="utf-8").replace("model.d_model = 16\nmodel.n_heads = 2\n", ""),
+                      encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "config error: d_model must be even, got 9\n"
+    assert calls == [] and not (tmp_path / "model.ckpt").exists() and not (tmp_path / "grid.json").exists()
+
+
 def test_bad_config_key_is_config_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("model.width = 64\n", encoding="utf-8")
@@ -621,6 +642,48 @@ def test_grid_bad_reference_is_data_error_before_training(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith(f"data error: record {bad['id']!r}") and err.count("\n") == 1
     assert calls == [] and not (tmp_path / "grid.json").exists()
+
+
+@pytest.mark.parametrize("part, field, value, expected", [
+    ("train", "problem_text", "আম " * 60, "1 record(s) exceed max_len=48: [{id}]"),
+    ("validation", "equation_text", "x = 3 +", "record {id}: bad equation: unexpected end"),
+    ("train", None, None, "no training records in {path}"),  # an empty train set
+], ids=["over-long-train-record", "unparseable-validation-equation", "empty-train-set"])
+def test_grid_training_data_error_is_data_error_before_training(
+    tmp_path, capsys, monkeypatch, part, field, value, expected
+):
+    make_parts(tmp_path)
+    path = tmp_path / "parts" / f"{part}.jsonl"
+    records = ds.load_dataset(path)
+    expected = expected.format(id=repr(records[0].id), path=path)
+    if field is None:
+        records = []
+    else:
+        setattr(records[0], field, value)
+    ds.save_dataset(records, path)
+    calls = count_train_calls(monkeypatch)
+    config = write_config(tmp_path, extra="grid.batch_sizes = 4,8\ngrid.epochs = 0,1\n")
+    assert main(["grid", "--config", str(config), "--parallel"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: " + expected)
+    assert calls == [] and not (tmp_path / "grid.json").exists()
+
+
+def test_grid_reads_its_inputs_once(tmp_path, monkeypatch):
+    make_parts(tmp_path)
+    counts = {"load_run_config": 0, "prepare_pairs": 0}
+    for name in counts:
+        real = getattr(mwp.cli, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mwp.cli, name, counted)
+    code, rows = grid_rows(tmp_path, "2,4", "0,1")
+    assert code == 0 and len(rows) == 4 and all("error" not in r for r in rows)
+    # one config, and one prepare_pairs each for the train and validation records
+    assert counts == {"load_run_config": 1, "prepare_pairs": 2}
 
 
 def test_grid_workers_capped_by_usable_cpus(monkeypatch):

@@ -240,6 +240,10 @@ def test_split_ratio_validation():
         split_dataset(records, seed=0, ratios=(0.5, 0.5))
     with pytest.raises(ValueError, match="sum to 1"):
         split_dataset(records, seed=0, ratios=(0.5, 0.3, 0.1))
+    # the sum is 1, but a part would be empty or negative
+    for ratios in [(1.5, -0.25, -0.25), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="three positive numbers"):
+            split_dataset(records, seed=0, ratios=ratios)
     with pytest.raises(ValueError, match="empty"):
         split_dataset([], seed=0)
 
