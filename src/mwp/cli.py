@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration errors (bad flags or config files,
 including an empty path flag, a ``--predictor-cmd`` that names no command or
-does not split into words, and an odd ``model.d_model``), 3 data errors
+does not split into words, an odd ``model.d_model``, and a ``train.*`` value
+``TrainConfig`` rejects, such as a NaN learning rate; ``train`` and ``grid``
+find a bad ``train.*`` value before they read any data), 3 data errors
 (missing or malformed datasets, vocab or id mismatches, unparseable input
 equations, and for ``grid`` a bad train, validation or test record, found
 before any training), 4 runtime errors (division by zero, an external
@@ -22,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,31 +83,31 @@ class TrainingInputs(NamedTuple):
     tgt_vocab: Vocab
     pairs: list
     val_pairs: list | None
-    train_config: TrainConfig | None
 
 
-def _training_inputs(cfg: RunConfig, train_config: Callable[[], TrainConfig] | None = None) -> TrainingInputs:
+def _training_inputs(cfg: RunConfig) -> TrainingInputs:
     """What a run of ``cfg`` trains on: the vocabularies (built from the train records when
     missing), the ``ModelConfig`` and the checked train and validation pairs (the latter when
-    that file exists). ``train_config`` builds the run's ``TrainConfig`` after the
-    ``ModelConfig``, so a bad setting is reported before a bad record."""
+    that file exists). Newly built vocabularies are written only once all of these pass, so a
+    failed load leaves no vocabulary behind."""
     train_records = _load_records(cfg.train_path)
     val_records = _load_records(cfg.validation_path) if Path(cfg.validation_path).is_file() else None
     src_path, tgt_path = Path(cfg.vocab_dir) / "src_vocab.txt", Path(cfg.vocab_dir) / "tgt_vocab.txt"
-    if src_path.is_file() and tgt_path.is_file():
-        src_vocab, tgt_vocab = Vocab.load(src_path), Vocab.load(tgt_path)
-    else:
+    built = not (src_path.is_file() and tgt_path.is_file())
+    if built:
         src_vocab = build_vocab(tokenize(r.problem_text) for r in train_records)
         tgt_vocab = build_vocab(target_tokens(r) for r in train_records)
-        src_vocab.save(src_path)
-        tgt_vocab.save(tgt_path)
+    else:
+        src_vocab, tgt_vocab = Vocab.load(src_path), Vocab.load(tgt_path)
     model_config = cfg.model_config(len(src_vocab), len(tgt_vocab))
-    settings = train_config() if train_config else None
     pairs = _checked_pairs(train_records, src_vocab, tgt_vocab, model_config.max_len)
     val_pairs = _checked_pairs(val_records, src_vocab, tgt_vocab, model_config.max_len) if val_records else None
     if not pairs:
         raise ds.DatasetError(f"no training records in {cfg.train_path}")
-    return TrainingInputs(model_config, src_vocab, tgt_vocab, pairs, val_pairs, settings)
+    if built:
+        src_vocab.save(src_path)
+        tgt_vocab.save(tgt_path)
+    return TrainingInputs(model_config, src_vocab, tgt_vocab, pairs, val_pairs)
 
 
 def _train_once(inputs: TrainingInputs, train_config: TrainConfig, callback=None):
@@ -180,6 +182,7 @@ def _write_json(path: str | Path, payload: dict) -> None:
 
 
 def cmd_datagen(args) -> int:
+    _reject_empty_paths(out=args.out)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     profile = synth.DEFAULT_PROFILE
@@ -204,6 +207,7 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_split(args) -> int:
+    _reject_empty_paths(**{"in": args.in_path, "out": args.out_dir})
     records = _load_records(args.in_path, args.format)
     ratios = args.ratios if args.ratios else (0.8, 0.1, 0.1)
     try:
@@ -220,8 +224,8 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    inputs = _training_inputs(cfg, cfg.train_config)
-    train_config = inputs.train_config
+    train_config = cfg.train_config()  # a bad setting is a config error, found before the data is read
+    inputs = _training_inputs(cfg)
 
     lines: list[str] = []
 

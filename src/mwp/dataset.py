@@ -1,8 +1,8 @@
-"""Loading, validating, classifying, and splitting word-problem records.
+"""Loading, classifying, and splitting word-problem records.
 
 :func:`gold_equation` parses a record's gold equation for class counts,
 training targets and scoring, so a bad one is the same data error naming the
-record wherever it is found; :func:`validate_record` reports it as an issue.
+record wherever it is found.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import json
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +17,6 @@ from typing import Sequence
 
 from . import equation
 from .atomic import write_text_atomic
-from .preprocess import normalize_digits, normalize_text
 
 
 class DatasetError(ValueError):
@@ -88,63 +86,6 @@ def summarize(records: Sequence[MwpRecord]) -> dict[str, int]:
         counts[classify_equation(gold_equation(rec)).value] += 1
     counts["total"] = len(records)
     return counts
-
-
-# --- validation --------------------------------------------------------
-
-ERROR, WARNING = "error", "warning"
-
-
-@dataclass(frozen=True)
-class Issue:
-    severity: str  # ERROR or WARNING
-    code: str
-    message: str
-
-
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
-
-
-def _numbers_in_text(text: str) -> set[Fraction]:
-    ascii_text = normalize_digits(text, "bengali_to_ascii")
-    return {Fraction(m.group()) for m in _NUMBER_RE.finditer(ascii_text)}
-
-
-def _numbers_in_expr(e: equation.Expr) -> set[Fraction]:
-    if isinstance(e, equation.Num):
-        return {e.value}
-    return _numbers_in_expr(e.left) | _numbers_in_expr(e.right)
-
-
-def validate_record(rec: MwpRecord) -> list[Issue]:
-    """Check a record against the annotation rules.
-
-    Parse failures, unsolvable equations, answer mismatches, and empty
-    problem text are error-severity; equation numerals missing from the
-    problem text are warnings (numbers may be spelled out in words).
-    """
-    issues: list[Issue] = []
-    if not normalize_text(rec.problem_text):
-        issues.append(Issue(ERROR, "empty_problem", "problem text is empty after normalization"))
-    try:
-        eq = equation.parse_equation(rec.equation_text)
-    except equation.ParseError as exc:
-        issues.append(Issue(ERROR, "equation_parse", str(exc)))
-        return issues
-    missing = _numbers_in_expr(eq.rhs) - _numbers_in_text(rec.problem_text)
-    if missing:
-        shown = ", ".join(equation.format_number(v) for v in sorted(missing))
-        issues.append(Issue(WARNING, "numeral_mismatch", f"equation numerals not in problem text: {shown}"))
-    try:
-        value = equation.solve(eq)
-    except equation.DivisionByZero as exc:
-        issues.append(Issue(ERROR, "equation_unsolvable", str(exc)))
-        return issues
-    if rec.answer is not None and value != rec.answer:
-        issues.append(
-            Issue(ERROR, "answer_mismatch", f"equation solves to {value}, stored answer is {rec.answer}")
-        )
-    return issues
 
 
 # --- splitting ----------------------------------------------------------

@@ -31,6 +31,7 @@ from .dataset import gold_equation
 from .preprocess import tokenize
 
 CORRECT, WRONG, UNPARSEABLE = "correct", "wrong", "unparseable"
+MAX_N = 4  # the highest n-gram order BLEU counts
 
 
 def _brevity_penalty(cand_len: int, ref_len: int) -> float:
@@ -89,7 +90,7 @@ def _corpus_bleu_from_counts(tallies: Sequence[tuple[list[tuple[int, int]], int,
     return 100.0 * _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / orders)
 
 
-def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = 4) -> float:
+def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = MAX_N) -> float:
     """Smoothed sentence-level BLEU in [0, 1].
 
     Geometric mean of modified n-gram precisions for n = 1..max_n; the
@@ -102,7 +103,7 @@ def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int
     return _sentence_bleu_from_counts(_match_counts(candidate, reference, max_n), len(candidate), len(reference))
 
 
-def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int = 4) -> float:
+def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int = MAX_N) -> float:
     """Corpus BLEU on the 0..100 scale with pooled, unsmoothed counts.
 
     N-gram orders for which the whole corpus has no candidate n-grams are
@@ -146,7 +147,6 @@ def evaluate_corpus(
     predictions: Sequence[str],
     records: Sequence,
     tolerance: Fraction | int | str = 0,
-    max_n: int = 4,
 ) -> dict:
     """Score one prediction string per record; return the report dict.
 
@@ -165,8 +165,6 @@ def evaluate_corpus(
         raise ValueError(f"{len(predictions)} predictions for {len(records)} records")
     if not records:
         raise ValueError("no records to score")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     tol = Fraction(tolerance)
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
@@ -187,7 +185,7 @@ def evaluate_corpus(
         correct += verdict == CORRECT
         cand_tokens = tokenize(pred) if pred_eq is None else equation.to_canonical_string(pred_eq).split()
         ref_tokens = ref_canon.split()
-        tallies.append((_match_counts(cand_tokens, ref_tokens, max_n), len(cand_tokens), len(ref_tokens)))
+        tallies.append((_match_counts(cand_tokens, ref_tokens, MAX_N), len(cand_tokens), len(ref_tokens)))
         per_record.append({
             "id": rec.id,
             "predicted": pred,
@@ -198,7 +196,7 @@ def evaluate_corpus(
             "verdict": verdict,
         })
     return _Report({
-        "corpus_bleu": _corpus_bleu_from_counts(tallies, max_n),
+        "corpus_bleu": _corpus_bleu_from_counts(tallies, MAX_N),
         "solution_accuracy": correct / len(records),
         "n_records": len(records),
         "per_record": per_record,

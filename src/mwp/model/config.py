@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -53,9 +54,14 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        positive = [("learning_rate", ""), ("eps", "")]
+        if self.clip_norm is not None:
+            positive.append(("clip_norm", " when set"))
+        for name, when in positive:
+            value = getattr(self, name)
+            if not (value > 0):  # NaN fails here too
+                raise ValueError(f"{name} must be > 0{when}, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")

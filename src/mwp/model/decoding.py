@@ -6,12 +6,13 @@ self-attention keys and values to a cache and attends to cross-attention
 keys and values projected once per source, so no step re-runs the decoder
 over the prefix.
 
-Both decoders take a list of sources and decode them in length-sorted
-chunks, so a chunk pads little; padded source positions are masked. A
-chunk is padded once and encoded ``ENCODE_ROWS`` (8) records at a time,
-which gives the same bits as one call while the encoder's feed-forward
-transient stays that of 8 rows. A chunk's cache is freed before the next
-one is built, so one cache is alive at a time.
+``greedy_decode_batch`` and ``beam_decode_batch`` take a list of sources
+and decode them in length-sorted chunks, so a chunk pads little; padded
+source positions are masked. A chunk is padded once and encoded
+``ENCODE_ROWS`` (8) records at a time, which gives the same bits as one
+call while the encoder's feed-forward transient stays that of 8 rows. A
+chunk's cache is freed before the next one is built, so one cache is alive
+at a time.
 
 Greedy decodes ``GREEDY_CHUNK_SIZE`` (32) records per chunk, and a row
 leaves the batch and the cache when it emits EOS. Beam search decodes
@@ -26,12 +27,13 @@ record stops taking rows once all of its beams have finished. One
 log-softmax and one stable sort per step rank the next tokens of every
 live row; each record then keeps its own best hypotheses.
 
-Returned ids exclude BOS and EOS and come back in input order. Ties are
-broken toward the smaller token id, so decoding is fully deterministic;
-beam search with beam_size=1 reproduces greedy decoding exactly. A step
-whose logits are not all finite raises ``ValueError``: the weights
-overflow, so no prediction from them means anything. The PAD, BOS and EOS
-ids are the ones ``mwp.preprocess`` reserves.
+``beam_decode`` is beam search over one source. Returned ids exclude BOS
+and EOS and come back in input order. Ties are broken toward the smaller
+token id, so decoding is fully deterministic; beam search with
+beam_size=1 reproduces greedy decoding exactly. A step whose logits are
+not all finite raises ``ValueError``: the weights overflow, so no
+prediction from them means anything. The PAD, BOS and EOS ids are the ones
+``mwp.preprocess`` reserves.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def _encode_in_slices(params: Parameters, config: ModelConfig, src: np.ndarray):
 def greedy_decode_batch(
     params: Parameters, config: ModelConfig, sources, max_steps: int | None = None
 ) -> list[list[int]]:
-    """Greedy ids for each source, in input order; see ``greedy_decode``."""
+    """Greedy ids for each source, in input order: each repeatedly appends
+    the argmax token until EOS or the step limit."""
     limit = config.max_len - 1 if max_steps is None else max_steps
     sources = list(sources)
     results: list[list[int]] = [[] for _ in sources]
@@ -115,11 +118,6 @@ def greedy_decode_batch(
                 cache, live, tokens = cache.select(keep), live[keep], tokens[keep]
         del cache  # before the next chunk's cache is built
     return results
-
-
-def greedy_decode(params: Parameters, config: ModelConfig, src_ids, max_steps: int | None = None) -> list[int]:
-    """Repeatedly append the argmax token until EOS or the step limit."""
-    return greedy_decode_batch(params, config, [_one_source(src_ids)], max_steps)[0]
 
 
 def _final_score(h: Hypothesis) -> float:

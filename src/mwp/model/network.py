@@ -21,8 +21,8 @@ block runs T new target positions per row against a ``DecoderCache``, which
 holds cross-attention keys and values projected once from the encoder
 memory, one row per record and shared by every decoded row of that record,
 and gains each call's self-attention keys and values.
-``forward_with_tape`` runs it once over the whole target with a tape,
-``decode_logits`` once over a prefix, and ``decode_step`` once per position.
+``forward_with_tape`` runs it once over the whole target with a tape, and
+``decode_step`` once per position.
 
 The PAD id is ``mwp.preprocess.PAD_ID``, the one ``Vocab`` reserves: a key
 whose token is PAD is never attended to, and a PAD target is never scored.
@@ -516,12 +516,3 @@ def decode_step(params: Parameters, config: ModelConfig, cache: DecoderCache, to
     """
     tokens = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
     return _decoder_block(params, config, cache, tokens)[:, 0]
-
-
-def decode_logits(params: Parameters, config: ModelConfig, memory, src_mask, tgt_in_ids):
-    """Logits (B, T_tgt, V) for target prefixes against an encoded memory."""
-    tgt = _check_batch("tgt_in_ids", np.atleast_2d(np.asarray(tgt_in_ids)), config.max_len)
-    if memory.shape[0] != tgt.shape[0]:
-        raise ValueError(f"a memory of {memory.shape[0]} records cannot serve {tgt.shape[0]} prefixes")
-    cache = start_decoding(params, config, memory, src_mask)
-    return _decoder_block(params, config, cache, tgt)

@@ -43,17 +43,10 @@ def normalize_digits(s: str, direction: str) -> str:
     raise ValueError(f"unknown direction: {direction!r}")
 
 
-def normalize_text(s: str) -> str:
-    """Lowercase, trim, collapse whitespace, and space out punctuation.
-
-    A period flanked by digits on both sides is kept in place so decimal
-    literals like ``2.5`` survive as one token. Idempotent.
-    """
-    return " ".join(tokenize(s))
-
-
 def tokenize(s: str) -> list[str]:
-    """Normalize ``s`` and split on spaces. Never yields empty tokens."""
+    """Lowercase ``s``, space out punctuation and split on whitespace. A period
+    flanked by digits on both sides is kept in place so decimal literals like
+    ``2.5`` survive as one token. Never yields empty tokens."""
     return _spaced(s).split()
 
 

@@ -142,12 +142,9 @@ _CLASS_BY_KEY = {cls.value: cls for cls in _TEMPLATES}
 def _normalize_profile(profile: Mapping) -> dict[EquationClass, Fraction]:
     out: dict[EquationClass, Fraction] = {}
     for key, value in profile.items():
-        if isinstance(key, EquationClass):
-            cls = key
-        else:
-            cls = _CLASS_BY_KEY.get(str(key).lower())
-            if cls is None:
-                raise ValueError(f"unknown equation class {key!r}")
+        cls = _CLASS_BY_KEY.get(str(key).lower())
+        if cls is None:
+            raise ValueError(f"unknown equation class {key!r}")
         out[cls] = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
     if sum(out.values()) != 1:
         raise ValueError("profile proportions must sum to 1")

@@ -1,8 +1,9 @@
 """The text front-end as it was before it was made single-pass, kept as the
 reference the differential tests compare the packaged code against.
 
-Copies of ``preprocess.normalize_text`` and ``preprocess.encode`` over a
-punctuation set stated here, and verbatim copies of ``equation._lex``,
+A copy of the text normalizer, which ``preprocess.tokenize`` joined on
+spaces must reproduce, and of ``preprocess.encode``, over a punctuation set
+stated here; and verbatim copies of ``equation._lex``,
 ``_Parser``, ``parse_equation``, ``format_number`` and
 ``to_canonical_string``: a character-at-a-time tokenizer, a lexer that
 builds a frozen dataclass per token, and ``Fraction(text)`` for every

@@ -605,6 +605,47 @@ def test_bad_config_key_is_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def files_under(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, settings, with_data, expected",
+    [
+        (["train"], {"train.learning_rate": "-1"}, True, "learning_rate must be > 0, got -1.0"),
+        (["train"], {"model.d_model": "10", "model.n_heads": "3"}, True,
+         "d_model (10) must be divisible by n_heads (3)"),
+        (["train"], {"train.batch_size": "0"}, False, "batch_size must be >= 1, got 0"),
+        (["train"], {"train.learning_rate": "nan"}, True, "learning_rate must be > 0, got nan"),
+        (["train"], {"train.learning_rate": "inf"}, True, "learning_rate must be finite, got inf"),
+        (["train"], {"train.clip_norm": "nan"}, True, "clip_norm must be > 0 when set, got nan"),
+        (["train"], {"train.eps": "-1"}, True, "eps must be > 0, got -1.0"),
+        (["grid"], {"train.eps": "nan"}, True, "eps must be > 0, got nan"),
+        (["split", "--in", "data.jsonl", "--out", ""], {}, True, "--out needs a path, got an empty value"),
+        (["split", "--in", "", "--out", "parts"], {}, True, "--in needs a path, got an empty value"),
+        (["datagen", "--n", "3", "--out", ""], {}, False, "--out needs a path, got an empty value"),
+    ],
+    ids=["train-negative-lr", "train-heads-do-not-divide", "train-bad-setting-no-data", "train-nan-lr",
+         "train-inf-lr", "train-nan-clip-norm", "train-negative-eps", "grid-nan-eps", "split-empty-out",
+         "split-empty-in", "datagen-empty-out"],
+)
+def test_config_error_writes_no_file(tmp_path, capsys, monkeypatch, argv, settings, with_data, expected):
+    # the working directory is tmp_path, so a file written there shows up too
+    monkeypatch.chdir(tmp_path)
+    if with_data:
+        make_parts(tmp_path)
+    config = write_config(tmp_path)
+    lines = [line for line in config.read_text(encoding="utf-8").splitlines() if line.partition(" =")[0] not in settings]
+    config.write_text("\n".join(lines + [f"{key} = {value}" for key, value in settings.items()]) + "\n",
+                      encoding="utf-8")
+    before = files_under(tmp_path)
+    if argv[0] in ("train", "grid"):
+        argv = [*argv, "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert files_under(tmp_path) == before
+
+
 # --- grid --------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Dataset IO, validation, classification, and split tests."""
+"""Dataset IO, classification, and split tests."""
 
 from fractions import Fraction
 
@@ -14,7 +14,6 @@ from mwp.dataset import (
     save_dataset,
     split_dataset,
     summarize,
-    validate_record,
 )
 from mwp.equation import parse_equation
 
@@ -153,41 +152,6 @@ def test_summarize_counts():
 def test_summarize_rejects_unparseable():
     with pytest.raises(DatasetError, match="record 'a'"):
         summarize([rec("a", eq="x = ")])
-
-
-# --- validation ----------------------------------------------------------------
-
-
-def test_validate_clean_record():
-    r = MwpRecord("a", "আমার ৫টি আম এবং ৩টি কলা আছে।", "x = 5 + 3", Fraction(8))
-    assert validate_record(r) == []
-
-
-def test_validate_accepts_bengali_numerals_in_text():
-    r = MwpRecord("a", "৫টি আম", "x = 5")
-    assert validate_record(r) == []
-
-
-def test_validate_error_codes():
-    cases = {
-        "empty_problem": MwpRecord("a", "   ", "x = 5"),
-        "equation_parse": MwpRecord("a", "৫টি", "x = 5 +"),
-        "equation_unsolvable": MwpRecord("a", "৫টি ০টি", "x = 5 / 0"),
-        "answer_mismatch": MwpRecord("a", "৫টি ৩টি", "x = 5 + 3", Fraction(9)),
-    }
-    for code, record in cases.items():
-        codes = [i.code for i in validate_record(record)]
-        assert code in codes, (code, codes)
-        for issue in validate_record(record):
-            if issue.code == code:
-                assert issue.severity == "error"
-
-
-def test_validate_numeral_mismatch_is_warning():
-    r = MwpRecord("a", "পাঁচটি আম আর তিনটি কলা", "x = 5 + 3")
-    issues = validate_record(r)
-    assert [i.code for i in issues] == ["numeral_mismatch"]
-    assert issues[0].severity == "warning"
 
 
 # --- splitting -------------------------------------------------------------------

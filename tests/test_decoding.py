@@ -14,12 +14,10 @@ from mwp.model.decoding import (
     GREEDY_CHUNK_SIZE,
     beam_decode,
     beam_decode_batch,
-    greedy_decode,
     greedy_decode_batch,
 )
 from mwp.model.network import (
     DecoderCache,
-    decode_logits,
     decode_step,
     encode,
     forward,
@@ -60,36 +58,29 @@ def overfit_setup():
 
 def test_greedy_respects_step_limit():
     params, config = random_setup(0)
-    out = greedy_decode(params, config, [5, 6, 7], max_steps=4)
+    out = greedy_decode_batch(params, config, [[5, 6, 7]], max_steps=4)[0]
     assert len(out) <= 4
     assert all(isinstance(t, int) and 0 <= t < config.tgt_vocab_size for t in out)
 
 
 def test_greedy_default_limit_is_max_len():
     params, config = random_setup(1)
-    out = greedy_decode(params, config, [5, 6])
+    out = greedy_decode_batch(params, config, [[5, 6]])[0]
     assert len(out) <= config.max_len - 1
 
 
 def test_greedy_excludes_bos_and_eos():
     params, config = random_setup(2)
-    out = greedy_decode(params, config, [4, 5, 6], max_steps=10)
+    out = greedy_decode_batch(params, config, [[4, 5, 6]], max_steps=10)[0]
     assert BOS_ID not in out
     assert EOS_ID not in out
 
 
 def test_greedy_is_deterministic():
     params, config = random_setup(3)
-    a = greedy_decode(params, config, [5, 8, 3], max_steps=8)
-    b = greedy_decode(params, config, [5, 8, 3], max_steps=8)
+    a = greedy_decode_batch(params, config, [[5, 8, 3]], max_steps=8)[0]
+    b = greedy_decode_batch(params, config, [[5, 8, 3]], max_steps=8)[0]
     assert a == b
-
-
-def test_greedy_accepts_1d_and_2d_sources():
-    params, config = random_setup(4)
-    flat = greedy_decode(params, config, [5, 6, 7], max_steps=6)
-    batched = greedy_decode(params, config, np.array([[5, 6, 7]]), max_steps=6)
-    assert flat == batched
 
 
 def test_greedy_breaks_argmax_ties_toward_smallest_id():
@@ -97,7 +88,7 @@ def test_greedy_breaks_argmax_ties_toward_smallest_id():
     # the argmax must consistently resolve to token id 0.
     params, config = random_setup(5)
     params = {k: np.zeros_like(v) for k, v in params.items()}
-    out = greedy_decode(params, config, [5, 6], max_steps=5)
+    out = greedy_decode_batch(params, config, [[5, 6]], max_steps=5)[0]
     assert out == [0] * 5
 
 
@@ -108,7 +99,7 @@ def test_beam_size_one_equals_greedy_on_random_models():
     for seed in range(6):
         params, config = random_setup(seed + 10)
         src = [4 + seed, 5, 6]
-        assert beam_decode(params, config, src, beam_size=1) == greedy_decode(params, config, src)
+        assert beam_decode(params, config, src, beam_size=1) == greedy_decode_batch(params, config, [src])[0]
 
 
 def test_beam_rejects_nonpositive_size():
@@ -133,6 +124,13 @@ def test_beam_is_deterministic():
     assert a == b
 
 
+def test_beam_accepts_1d_and_2d_sources():
+    params, config = random_setup(4)
+    flat = beam_decode(params, config, [5, 6, 7], beam_size=2, max_steps=6)
+    batched = beam_decode(params, config, np.array([[5, 6, 7]]), beam_size=2, max_steps=6)
+    assert flat == batched
+
+
 # --- behaviour on a trained model ------------------------------------------------
 
 
@@ -140,7 +138,7 @@ def test_trained_model_decodes_exact_targets():
     params, config, pairs = overfit_setup()
     for src, tgt in pairs:
         want = tgt[1:-1]  # strip BOS/EOS
-        got = greedy_decode(params, config, src)
+        got = greedy_decode_batch(params, config, [src])[0]
         # EOS fired at the right step: lengths match, not just prefixes.
         assert got == want
 
@@ -154,10 +152,10 @@ def test_beam_agrees_with_greedy_on_trained_model():
 
 
 # --- cached decoders against naive full-prefix references ---------------------------
-# The references re-run the whole decoder over the prefix at every step, the
-# way decoding worked before the key/value cache: greedy through ``forward``
-# (the training stack) and beam through ``encode`` plus ``decode_logits``
-# over the repeated memory.
+# The references re-run the whole model over the prefix at every step, the
+# way decoding worked before the key/value cache: both through ``forward``
+# (the training stack), beam over the source repeated once per live
+# hypothesis.
 
 
 def reference_greedy(params, config, src, max_steps=None):
@@ -173,17 +171,13 @@ def reference_greedy(params, config, src, max_steps=None):
 
 
 def reference_beam(params, config, src, beam_size, max_steps=None):
-    memory, src_mask = encode(params, config, np.array([src]))
     limit = config.max_len - 1 if max_steps is None else max_steps
     beams = [((BOS_ID,), 0.0, False)]
     for _ in range(limit):
         live = [h for h in beams if not h[2]]
         if not live:
             break
-        logits = decode_logits(
-            params, config, np.repeat(memory, len(live), axis=0), np.repeat(src_mask, len(live), axis=0),
-            np.array([h[0] for h in live]),
-        )
+        logits = forward(params, config, np.array([src] * len(live)), np.array([h[0] for h in live]))
         candidates = [h for h in beams if h[2]]
         for row, (tokens, score, _) in enumerate(live):
             shifted = logits[row, -1] - logits[row, -1].max()
@@ -224,7 +218,7 @@ def test_batched_greedy_matches_reference_on_random_models(n):
         sources = mixed_sources(seed, n)
         want = [reference_greedy(params, config, src) for src in sources]
         assert greedy_decode_batch(params, config, sources) == want
-        assert [greedy_decode(params, config, src) for src in sources] == want
+        assert [greedy_decode_batch(params, config, [src])[0] for src in sources] == want
 
 
 def test_batched_greedy_matches_reference_with_step_limit():
@@ -434,15 +428,6 @@ def test_decoders_never_copy_cross_keys_and_values(decode, monkeypatch):
         got = beam_decode_batch(params, config, sources, beam_size=3)
         assert got == [reference_beam(params, config, src, 3) for src in sources]
     assert seen  # rows were dropped or regrouped at least once
-
-
-def test_decode_logits_needs_one_memory_row_per_prefix():
-    params, config = random_setup(153)
-    memory, src_mask = encode(params, config, [[5, 6, 7]])
-    for records, prefixes in ((1, 2), (2, 3)):
-        with pytest.raises(ValueError, match=f"memory of {records} records cannot serve {prefixes} prefixes"):
-            decode_logits(params, config, np.repeat(memory, records, axis=0), np.repeat(src_mask, records, axis=0),
-                          np.array([[BOS_ID, 4]] * prefixes))
 
 
 # --- greedy chunks encoded in slices, one cache alive at a time ---------------------

@@ -79,7 +79,7 @@ def parsed(parse, canonical):
 
 
 def assert_same_front_end(s: str) -> None:
-    assert outcome(preprocess.normalize_text, s) == outcome(oracle.normalize_text, s)
+    assert outcome(lambda t: " ".join(tokenize(t)), s) == outcome(oracle.normalize_text, s)
     assert tokenize(s) == oracle.normalize_text(s).split()
     new_tokens = outcome(equation._lex, s)
     old_tokens = outcome(lambda t: [(k.kind, k.text, k.offset) for k in oracle._lex(t)], s)
@@ -113,7 +113,7 @@ def test_canonical_string_tokens_are_its_split(s):
 def test_digit_check_is_str_isdigit():
     # '²' and Bengali digits are digits to str.isdigit, so their periods stay
     for s in ("2².5", "².²", "৩.৫", "1.²", "a.5", "5.", ".5", "1..2"):
-        assert preprocess.normalize_text(s) == oracle.normalize_text(s)
+        assert " ".join(tokenize(s)) == oracle.normalize_text(s)
 
 
 @settings(max_examples=300, deadline=None)

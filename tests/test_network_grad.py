@@ -11,7 +11,6 @@ from mwp.preprocess import PAD_ID
 from mwp.model.network import (
     backward,
     cross_entropy_loss,
-    decode_logits,
     decode_step,
     encode,
     forward,
@@ -114,16 +113,15 @@ def test_padding_source_positions_are_inert():
     memory, src_mask = encode(params, TINY, SRC)
     blasted = memory.copy()
     blasted[0, 4] = 1e6
-    out_a = decode_logits(params, TINY, memory, src_mask, TGT_IN)
-    out_b = decode_logits(params, TINY, blasted, src_mask, TGT_IN)
+    out_a = stepped_logits(params, memory, src_mask, TGT_IN)
+    out_b = stepped_logits(params, blasted, src_mask, TGT_IN)
     np.testing.assert_allclose(out_a, out_b, atol=1e-9)
 
 
-def test_encode_decode_match_forward():
-    params = tiny_params()
-    memory, src_mask = encode(params, TINY, SRC)
-    logits = decode_logits(params, TINY, memory, src_mask, TGT_IN)
-    np.testing.assert_allclose(logits, forward(params, TINY, SRC, TGT_IN), atol=1e-12)
+def stepped_logits(params, memory, src_mask, tgt_in):
+    """Logits for ``tgt_in`` from a ``decode_step`` loop, one position per call."""
+    cache = start_decoding(params, TINY, memory, src_mask)
+    return np.stack([decode_step(params, TINY, cache, tgt_in[:, t]) for t in range(tgt_in.shape[1])], axis=1)
 
 
 def test_decode_step_loop_matches_forward():
@@ -131,10 +129,8 @@ def test_decode_step_loop_matches_forward():
     params = tiny_params()
     tgt_in = np.array([[1, 4, PAD_ID, 6], [1, 7, 8, PAD_ID]])
     memory, src_mask = encode(params, TINY, SRC)
-    cache = start_decoding(params, TINY, memory, src_mask)
-    steps = [decode_step(params, TINY, cache, tgt_in[:, t]) for t in range(tgt_in.shape[1])]
-    want = forward(params, TINY, SRC, tgt_in)
-    np.testing.assert_allclose(np.stack(steps, axis=1), want, atol=1e-12)
+    np.testing.assert_allclose(stepped_logits(params, memory, src_mask, tgt_in), forward(params, TINY, SRC, tgt_in),
+                               atol=1e-12)
 
 
 def test_train_mode_requires_rng_when_dropout_on():
