@@ -208,12 +208,12 @@ def cmd_datagen(args) -> int:
 
 def cmd_split(args) -> int:
     _reject_empty_paths(**{"in": args.in_path, "out": args.out_dir})
-    records = _load_records(args.in_path, args.format)
     ratios = args.ratios if args.ratios else (0.8, 0.1, 0.1)
     try:
-        ds.split_fractions(ratios)
+        ds.split_fractions(ratios)  # a bad ratio is a config error, found before the data is read
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    records = _load_records(args.in_path, args.format)
     parts = ds.split_dataset(records, args.seed, ratios)
     out_dir = Path(args.out_dir)
     for name, part in zip(("train", "validation", "test"), parts):

@@ -226,21 +226,39 @@ def parse_equation(s: str) -> Equation:
 # --- evaluation and printing ------------------------------------------
 
 
-def evaluate(e: Expr) -> Fraction:
-    """Evaluate an expression with exact rational arithmetic."""
-    if isinstance(e, Num):
-        return e.value
-    left = evaluate(e.left)
-    right = evaluate(e.right)
-    if e.op is Op.ADD:
+def _apply(node: BinOp, left: Fraction, right: Fraction) -> Fraction:
+    if node.op is Op.ADD:
         return left + right
-    if e.op is Op.SUB:
+    if node.op is Op.SUB:
         return left - right
-    if e.op is Op.MUL:
+    if node.op is Op.MUL:
         return left * right
     if right == 0:
-        raise DivisionByZero("division by zero", offset=e.pos)
+        raise DivisionByZero("division by zero", offset=node.pos)
     return left / right
+
+
+def evaluate(e: Expr) -> Fraction:
+    """Evaluate an expression with exact rational arithmetic.
+
+    The tree is walked with an explicit stack, left operand first, so a
+    long chain of operators cannot exhaust the interpreter's recursion limit.
+    """
+    values: list[Fraction] = []
+    todo: list[tuple[Expr, bool]] = [(e, False)]  # (node, operands already on ``values``)
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            right = values.pop()
+            values.append(_apply(node, values.pop(), right))
+        elif isinstance(node, Num):
+            values.append(node.value)
+        elif isinstance(node.left, Num) and isinstance(node.right, Num):
+            # the common one-operator case needs no stack traffic
+            values.append(_apply(node, node.left.value, node.right.value))
+        else:
+            todo += ((node, True), (node.right, False), (node.left, False))
+    return values[0]
 
 
 def solve(eq: Equation) -> Fraction:
@@ -251,14 +269,12 @@ def solve(eq: Equation) -> Fraction:
 def count_operators(e: Expr) -> dict[Op, int]:
     """Count binary operator nodes by kind."""
     counts = {op: 0 for op in Op}
-
-    def walk(node: Expr) -> None:
+    todo = [e]
+    while todo:
+        node = todo.pop()
         if isinstance(node, BinOp):
             counts[node.op] += 1
-            walk(node.left)
-            walk(node.right)
-
-    walk(e)
+            todo += (node.left, node.right)
     return counts
 
 
@@ -296,25 +312,20 @@ def to_canonical_string(eq: Equation) -> str:
     """Print with single-space-separated tokens, ASCII digits, and minimal
     parentheses; reparsing yields a structurally identical tree."""
     out: list[str] = [eq.variable.lower(), "="]
-
-    def render(e: Expr) -> None:
-        if isinstance(e, Num):
+    # an explicit stack of nodes still to print and tokens to emit, so a long
+    # chain of operators cannot exhaust the recursion limit
+    todo: list[Expr | str] = [eq.rhs]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, str):
+            out.append(e)
+        elif isinstance(e, Num):
             out.append(format_number(e.value))
-            return
-        prec = _PRECEDENCE[e.op]
-        # Left-associative grammar: a right child at equal precedence would
-        # rebind on reparse, so it keeps its parentheses.
-        _child(e.left, needs_parens=_precedence(e.left) < prec)
-        out.append(e.op.symbol)
-        _child(e.right, needs_parens=_precedence(e.right) <= prec)
-
-    def _child(e: Expr, needs_parens: bool) -> None:
-        if needs_parens:
-            out.append("(")
-            render(e)
-            out.append(")")
         else:
-            render(e)
-
-    render(eq.rhs)
+            prec = _PRECEDENCE[e.op]
+            # Pushed right to left. Left-associative grammar: a right child at
+            # equal precedence would rebind on reparse, so it keeps its parentheses.
+            todo += (")", e.right, "(") if _precedence(e.right) <= prec else (e.right,)
+            todo.append(e.op.symbol)
+            todo += (")", e.left, "(") if _precedence(e.left) < prec else (e.left,)
     return " ".join(out)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import equation
@@ -42,14 +43,23 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
+def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
+    """Every n-gram of orders 1..max_n in one counter; grams of different
+    orders are tuples of different lengths, so they never collide."""
+    return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in range(1, max_n + 1)))
+
+
 def _match_counts(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> list[tuple[int, int]]:
     """Clipped matches and candidate n-gram totals for n = 1..max_n."""
-    counts = []
-    for n in range(1, max_n + 1):
-        cand = Counter(tuple(candidate[i : i + n]) for i in range(len(candidate) - n + 1))
-        ref = Counter(tuple(reference[i : i + n]) for i in range(len(reference) - n + 1))
-        counts.append((sum(min(count, ref[gram]) for gram, count in cand.items()), sum(cand.values())))
-    return counts
+    totals = [max(len(candidate) - n + 1, 0) for n in range(1, max_n + 1)]
+    if candidate == reference:  # every candidate n-gram is matched
+        return list(zip(totals, totals))
+    ref = _ngram_counts(reference, max_n)
+    matches = [0] * max_n
+    for gram, count in _ngram_counts(candidate, max_n).items():
+        if gram in ref:
+            matches[len(gram) - 1] += min(count, ref[gram])
+    return list(zip(matches, totals))
 
 
 def _sentence_bleu_from_counts(counts: list[tuple[int, int]], cand_len: int, ref_len: int) -> float:
@@ -121,21 +131,36 @@ def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int
 # --- solution accuracy and the corpus report ----------------------------------
 
 
-def _judge(predicted: str, ref_value: Fraction, tol: Fraction) -> tuple[str, equation.Equation | None, Fraction | None]:
-    """Parse a prediction once: its verdict, parsed equation and value.
+def _gold(rec, solved: dict[str, tuple[str, Fraction]]) -> tuple[str, Fraction]:
+    """A record's canonical gold equation and its value, parsed once per text."""
+    hit = solved.get(rec.equation_text)
+    if hit is None:
+        ref_eq = gold_equation(rec)
+        try:
+            hit = solved[rec.equation_text] = equation.to_canonical_string(ref_eq), equation.solve(ref_eq)
+        except equation.DivisionByZero as exc:
+            raise ValueError(f"record {rec.id!r}: reference equation does not solve: {exc}") from exc
+    return hit
 
-    A prediction that parses but divides by zero is ``unparseable`` and
-    keeps its parsed equation.
-    """
+
+def _prediction(predicted: str, solved: dict[str, tuple[str, Fraction]]) -> tuple[list[str], Fraction | None]:
+    """A prediction's BLEU tokens and value; the value is None when it does
+    not parse or divides by zero. One that parses is tokenized canonical,
+    even when it divides by zero; one that does not is tokenized raw."""
+    hit = solved.get(predicted)
+    if hit is not None:
+        return hit[0].split(), hit[1]
     try:
         parsed = equation.parse_equation(predicted)
     except equation.ParseError:
-        return UNPARSEABLE, None, None
+        return tokenize(predicted), None
+    canon = equation.to_canonical_string(parsed)
     try:
         value = equation.solve(parsed)
     except equation.DivisionByZero:
-        return UNPARSEABLE, parsed, None
-    return (CORRECT if abs(value - ref_value) <= tol else WRONG), parsed, value
+        return canon.split(), None
+    solved[predicted] = canon, value
+    return canon.split(), value
 
 
 class _Report(dict):
@@ -159,7 +184,8 @@ def evaluate_corpus(
     Both sides are canonicalized before BLEU tokenization when they parse,
     which removes detokenization whitespace artifacts without hiding real
     errors; a canonical string's tokens are its ``split()``. Unparseable
-    predictions are tokenized raw.
+    predictions are tokenized raw. Each distinct equation text that parses
+    and solves is parsed, solved and canonicalized once per call.
     """
     if len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} predictions for {len(records)} records")
@@ -172,18 +198,18 @@ def evaluate_corpus(
     # clipped n-gram counts are taken once per record and serve both the
     # sentence score and the pooled corpus score
     tallies: list[tuple[list[tuple[int, int]], int, int]] = []
+    # equation text -> (canonical string, value) for each text, gold or
+    # predicted, that parsed and solved in this call
+    solved: dict[str, tuple[str, Fraction]] = {}
     correct = 0
     for pred, rec in zip(predictions, records):
-        ref_eq = gold_equation(rec)
-        ref_canon = equation.to_canonical_string(ref_eq)
-        try:
-            ref_value = equation.solve(ref_eq)
-        except equation.DivisionByZero as exc:
-            raise ValueError(f"record {rec.id!r}: reference equation does not solve: {exc}") from exc
-
-        verdict, pred_eq, pred_value = _judge(pred, ref_value, tol)
+        ref_canon, ref_value = _gold(rec, solved)
+        cand_tokens, pred_value = _prediction(pred, solved)
+        if pred_value is None:
+            verdict = UNPARSEABLE
+        else:
+            verdict = CORRECT if abs(pred_value - ref_value) <= tol else WRONG
         correct += verdict == CORRECT
-        cand_tokens = tokenize(pred) if pred_eq is None else equation.to_canonical_string(pred_eq).split()
         ref_tokens = ref_canon.split()
         tallies.append((_match_counts(cand_tokens, ref_tokens, MAX_N), len(cand_tokens), len(ref_tokens)))
         per_record.append({

@@ -255,6 +255,13 @@ def test_split_bad_ratios_is_config_error(tmp_path, capsys):
     assert "sum to 1" in capsys.readouterr().err
 
 
+def test_split_checks_ratios_before_reading_input(tmp_path, capsys):
+    assert main(["split", "--in", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "d"),
+                 "--ratios", "0.5,0.5,0.5"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "d").exists()
+
+
 # --- solve ------------------------------------------------------------------------
 
 
@@ -268,6 +275,11 @@ def test_solve_equation_handles_bengali_digits_and_fractions(capsys):
     assert capsys.readouterr().out.strip() == "3.5"
     assert main(["solve", "--equation", "x = 1 / 3"]) == 0
     assert capsys.readouterr().out.strip() == "1/3"
+
+
+def test_solve_equation_10000_term_sum(capsys):
+    assert main(["solve", "--equation", "x = " + "+".join(["1"] * 10_000)]) == 0
+    assert capsys.readouterr().out.strip() == "10000"
 
 
 def test_solve_division_by_zero_is_runtime_error(capsys):
@@ -454,6 +466,20 @@ def test_eval_gold_predictions_score_perfectly(tmp_path, capsys):
     assert report["solution_accuracy"] == 1.0
     assert report["corpus_bleu"] == pytest.approx(100.0)
     assert "100.00%" in capsys.readouterr().out
+
+
+def test_eval_predictions_10000_term_sum_gets_a_verdict(tmp_path):
+    data = tmp_path / "data.jsonl"
+    main(["datagen", "--n", "2", "--seed", "8", "--out", str(data)])
+    records = ds.load_dataset(data)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"id": r.id, "equation": "x = " + "+".join(["1"] * 10_000)}) + "\n"
+                             for r in records), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--in", str(data), "--predictions", str(preds), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [r["solved_value"] for r in report["per_record"]] == ["10000", "10000"]
+    assert {r["verdict"] for r in report["per_record"]} <= {"correct", "wrong"}
 
 
 def test_eval_empty_predictions_score_zero(tmp_path):

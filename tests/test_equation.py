@@ -159,6 +159,10 @@ def test_division_by_zero_has_position():
         parse_eq = parse_equation("x = 5 / 0")
         evaluate(parse_eq.rhs)
     assert err.value.offset == 6
+    # with two, the leftmost division is reported, as operands are evaluated left first
+    with pytest.raises(DivisionByZero) as err:
+        solve(parse_equation("x = 1 / 0 + 2 / 0"))
+    assert err.value.offset == 6
 
 
 def test_evaluate_matches_oracle_bulk():
@@ -181,6 +185,27 @@ def test_count_operators():
     eq = parse_equation("x = 1 + 2 * 3 - 4 / 5")
     assert count_operators(eq.rhs) == {Op.ADD: 1, Op.SUB: 1, Op.MUL: 1, Op.DIV: 1}
     assert count_operators(parse_equation("x = 7").rhs) == {op: 0 for op in Op}
+
+
+def test_tree_walks_take_a_10000_term_sum():
+    # the walks keep an explicit stack, so operand count is not bounded by the recursion limit
+    eq = parse_equation("x = " + " + ".join(["1"] * 5_000) + " - " + " - ".join(["2"] * 5_000))
+    assert solve(eq) == 5_000 - 2 * 5_000
+    assert count_operators(eq.rhs) == {Op.ADD: 4_999, Op.SUB: 5_000, Op.MUL: 0, Op.DIV: 0}
+    assert to_canonical_string(eq) == "x = " + " + ".join(["1"] * 5_000) + " - " + " - ".join(["2"] * 5_000)
+
+
+def test_tree_walks_take_a_deep_right_chain():
+    # 10,000 nested right operands: 1 - (1 - (... - 1 / 0)) divides by zero at the bottom
+    expr = BinOp(Op.DIV, num(1), num(0), pos=7)
+    for _ in range(10_000):
+        expr = BinOp(Op.SUB, num(1), expr)
+    with pytest.raises(DivisionByZero) as err:
+        evaluate(expr)
+    assert err.value.offset == 7
+    assert count_operators(expr) == {Op.ADD: 0, Op.SUB: 10_000, Op.MUL: 0, Op.DIV: 1}
+    # the division binds tighter than the innermost minus, so it needs no parentheses
+    assert to_canonical_string(Equation("x", expr)) == "x = " + "1 - ( " * 9_999 + "1 - 1 / 0" + " )" * 9_999
 
 
 # --- formatting -------------------------------------------------------------

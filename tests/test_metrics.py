@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from bleu_oracle import CASES, naive_corpus_bleu, naive_sentence_bleu
+from bleu_oracle import CASES, _clipped, naive_corpus_bleu, naive_sentence_bleu
 from mwp import equation
 from mwp.dataset import MwpRecord
 from mwp.metrics import (
     CORRECT,
+    MAX_N,
     UNPARSEABLE,
     WRONG,
+    _match_counts,
     corpus_bleu,
     evaluate_corpus,
     format_results_table,
@@ -62,6 +64,20 @@ def test_sentence_bleu_in_unit_interval_random():
         got = sentence_bleu(cand, ref)
         assert 0.0 <= got <= 1.0
         assert got == pytest.approx(naive_sentence_bleu(cand, ref), abs=1e-12)
+
+
+def test_match_counts_equal_naive_clipping():
+    # short alphabet and lengths 0-12: repeated grams are clipped; a quarter
+    # of the pairs are identical and take the no-counting path
+    rng = random.Random(17)
+    alphabet = ["x", "=", "1", "+"]
+    for i in range(600):
+        cand = [rng.choice(alphabet) for _ in range(rng.randrange(0, 13))]
+        if i % 4 == 0:
+            ref = list(cand)
+        else:
+            ref = [rng.choice(alphabet) for _ in range(rng.randrange(0, 13))]
+        assert _match_counts(cand, ref, MAX_N) == [_clipped(cand, ref, n) for n in range(1, MAX_N + 1)]
 
 
 def test_sentence_bleu_max_n_validation():
@@ -211,6 +227,59 @@ def test_evaluate_corpus_parses_each_equation_once(monkeypatch):
     predictions = ["x = 2 + 3", "x = 1 +", "x = 1 / 0", "x = 9"]
     evaluate_corpus(predictions, _records(["x = 5", "x = 1", "x = 2", "x = 3"]))
     assert len(calls) == 2 * len(predictions)
+
+
+def test_evaluate_corpus_one_prediction_text_two_golds():
+    report = evaluate_corpus(["x = 2 + 3", "x = 2 + 3"], _records(["x = 5", "x = 6"]))
+    assert [r["verdict"] for r in report["per_record"]] == [CORRECT, WRONG]
+    assert [r["solved_value"] for r in report["per_record"]] == ["5", "5"]
+
+
+def test_evaluate_corpus_prediction_equal_to_another_gold():
+    # record 1 predicts record 0's gold text: its verdict is against its own gold
+    report = evaluate_corpus(["x = 1 + 1", "x = 1 + 1", "x = 7"], _records(["x = 1 + 1", "x = 3", "x = 2"]))
+    assert [r["verdict"] for r in report["per_record"]] == [CORRECT, WRONG, WRONG]
+    assert [r["reference"] for r in report["per_record"]] == ["x = 1 + 1", "x = 3", "x = 2"]
+
+
+def test_evaluate_corpus_repeated_division_by_zero():
+    report = evaluate_corpus(["x = 1 / 0"] * 3, _records(["x = 1", "x = 2", "x = 1"]))
+    assert [r["verdict"] for r in report["per_record"]] == [UNPARSEABLE] * 3
+    assert [r["solved_value"] for r in report["per_record"]] == [None] * 3
+
+
+def test_evaluate_corpus_parses_each_distinct_text_once(monkeypatch):
+    calls = []
+    real = equation.parse_equation
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(equation, "parse_equation", counting)
+    golds = ["x = 5", "x = 2 + 3", "x = 5", "x = 4", "x = 2 + 3"]
+    predictions = ["x = 2 + 3", "x = 5", "x = 5", "x = 2 + 3", "x = 4"]
+    evaluate_corpus(predictions, _records(golds))
+    assert sorted(calls) == sorted(set(golds + predictions))
+
+
+def test_evaluate_corpus_equals_records_scored_alone():
+    rng = random.Random(5)
+    golds = ["x = 2 + 3", "x = 7 - 3", "x = 8 / 2", "x = ( 1 + 2 ) * 3", "x = 4"]
+    pool = golds + ["x=2+3", "x = 3 + 2", "x = 1 / 0", "x = 1 +", "x = 9", "x = ৪"]
+    predictions = [rng.choice(pool) for _ in range(60)]
+    records = _records([rng.choice(golds) for _ in range(60)])
+    report = evaluate_corpus(predictions, records)
+    alone = [evaluate_corpus([p], [r])["per_record"][0] for p, r in zip(predictions, records)]
+    assert report["per_record"] == alone
+
+
+def test_evaluate_corpus_scores_a_10000_term_sum():
+    long_sum = "x = " + " + ".join(["1"] * 10_000)
+    report = evaluate_corpus([long_sum, long_sum], _records(["x = 10000", long_sum]))
+    assert [r["verdict"] for r in report["per_record"]] == [CORRECT, CORRECT]
+    assert report["per_record"][1]["reference"] == long_sum
+    assert report["per_record"][1]["bleu"] == 1.0
 
 
 def test_evaluate_corpus_tolerance_passthrough():
