@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 configuration errors (bad flags or config files,
 including an empty path flag, a ``--predictor-cmd`` that names no command or
-does not split into words, an odd ``model.d_model``, and a ``train.*`` value
-``TrainConfig`` rejects, such as a NaN learning rate; ``train`` and ``grid``
-find a bad ``train.*`` value before they read any data), 3 data errors
+does not split into words, an odd ``model.d_model``, a ``model.max_len``
+above its bound, and a ``train.*`` value ``TrainConfig`` rejects, such as a
+NaN learning rate; ``train`` and ``grid`` find a bad ``train.*`` value
+before they read any data), 3 data errors
 (missing or malformed datasets, vocab or id mismatches, unparseable input
 equations, and for ``grid`` a bad train, validation or test record, found
 before any training), 4 runtime errors (division by zero, an external
@@ -23,6 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import synth
-from .atomic import write_text_atomic
+from .atomic import atomic_file, write_text_atomic
 from .equation import DivisionByZero, ParseError, format_number, parse_equation, solve
 from .metrics import evaluate_corpus, format_results_table
 from .model.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -174,8 +176,37 @@ def _reject_empty_paths(**flags: str | None) -> None:
             raise ConfigError(f"--{name} needs a path, got an empty value")
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_rows(rows) -> bool:
+    """Whether ``rows`` is a non-empty list of non-empty dicts of string keys and scalar values."""
+    return (isinstance(rows, list) and len(rows) > 0 and all(type(row) is dict and row for row in rows)
+            and {str}.issuperset(map(type, chain.from_iterable(rows)))
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, rows)))))
+
+
 def _write_json(path: str | Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    r"""Write ``json.dumps(payload, indent=2, ensure_ascii=False)`` and a newline, atomically.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder. A report's
+    ``per_record`` rows, when flat, go through the C encoder in one call
+    instead, with the key separator that ``indent=2`` puts inside a row. The
+    C encoder escapes every newline inside a string, so the only
+    ``},\n      {`` in its output is a row boundary, and rewriting those and
+    the two ends gives the same bytes."""
+    rows = payload.get("per_record")
+    if not _flat_rows(rows):
+        write_text_atomic(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        return
+    head, tail = json.dumps({**payload, "per_record": []}, indent=2, ensure_ascii=False).split(
+        '\n  "per_record": []')
+    body = json.dumps(rows, ensure_ascii=False, separators=(",\n      ", ": "))
+    body = body.replace("},\n      {", "\n    },\n    {\n      ").encode("utf-8")
+    with atomic_file(path) as fh:
+        fh.write(f'{head}\n  "per_record": [\n    {{\n      '.encode("utf-8"))
+        fh.write(memoryview(body)[2:-2])  # without the C encoder's "[{" and "}]"
+        fh.write(f"\n    }}\n  ]{tail}\n".encode("utf-8"))
 
 
 # --- commands ---------------------------------------------------------------

@@ -9,7 +9,9 @@ Grammar (left-associative, ``*``/``/`` bind tighter than ``+``/``-``)::
 
 Numbers accept ASCII or Bengali digits and an optional decimal point; they
 are stored as exact :class:`fractions.Fraction` values, so evaluation never
-rounds. Unary minus is not part of the grammar.
+rounds. Unary minus is not part of the grammar. Parentheses nest at most
+``MAX_DEPTH`` deep, so the recursive parser stays well inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ class EmptyExpression(ParseError):
 
 
 class UnexpectedToken(ParseError):
+    pass
+
+
+class TooDeep(ParseError):
     pass
 
 
@@ -145,11 +151,14 @@ def _lex(s: str) -> list[_Token]:
 
 # --- parser -----------------------------------------------------------
 
+MAX_DEPTH = 100  # the most parentheses open at once; each costs three stack frames
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def parse_equation(self) -> Equation:
         kind, text, offset = self.tokens[0]
@@ -198,12 +207,16 @@ class _Parser:
             # for digits alone, Fraction(int(text)) is Fraction(text), about 3x faster
             return Num(Fraction(text) if "." in text else Fraction(int(text)), pos=offset)
         if text == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise TooDeep(f"more than {MAX_DEPTH} nested parentheses", offset=offset)
             self.i += 1
             node = self.parse_expr()
             kind, text, offset = self.tokens[self.i]
             if text != ")":
                 raise ParenMismatch("expected ')'", offset=offset)
             self.i += 1
+            self.depth -= 1
             return node
         if kind == "END":
             raise UnexpectedToken("unexpected end of input", offset=offset)

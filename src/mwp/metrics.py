@@ -34,6 +34,9 @@ from .preprocess import tokenize
 CORRECT, WRONG, UNPARSEABLE = "correct", "wrong", "unparseable"
 MAX_N = 4  # the highest n-gram order BLEU counts
 
+# one pair's BLEU tally: clipped matches and totals per order, candidate and reference lengths
+_Tally = tuple[list[tuple[int, int]], int, int]
+
 
 def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     if cand_len == 0:
@@ -75,7 +78,7 @@ def _sentence_bleu_from_counts(counts: list[tuple[int, int]], cand_len: int, ref
     return _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / len(counts))
 
 
-def _corpus_bleu_from_counts(tallies: Sequence[tuple[list[tuple[int, int]], int, int]], max_n: int) -> float:
+def _corpus_bleu_from_counts(tallies: Sequence[_Tally], max_n: int) -> float:
     """Corpus BLEU from per-pair (counts, candidate length, reference length)."""
     matches = [0] * max_n
     totals = [0] * max_n
@@ -163,6 +166,27 @@ def _prediction(predicted: str, solved: dict[str, tuple[str, Fraction]]) -> tupl
     return canon.split(), value
 
 
+def _score_pair(pred: str, rec, tol: Fraction, solved: dict[str, tuple[str, Fraction]]) -> tuple[_Tally, dict]:
+    """The BLEU tally of one (prediction, gold) pair and its report row
+    without the ``id``."""
+    ref_canon, ref_value = _gold(rec, solved)
+    cand_tokens, pred_value = _prediction(pred, solved)
+    if pred_value is None:
+        verdict = UNPARSEABLE
+    else:
+        verdict = CORRECT if abs(pred_value - ref_value) <= tol else WRONG
+    ref_tokens = ref_canon.split()
+    tally = _match_counts(cand_tokens, ref_tokens, MAX_N), len(cand_tokens), len(ref_tokens)
+    return tally, {
+        "predicted": pred,
+        "reference": ref_canon,
+        "bleu": _sentence_bleu_from_counts(*tally),
+        "solved_value": None if pred_value is None else str(pred_value),
+        "reference_value": str(ref_value),
+        "verdict": verdict,
+    }
+
+
 class _Report(dict):
     # bench/spans.py counts a traced call's records as ``result.n_records``
     n_records = property(lambda self: self["n_records"])
@@ -185,7 +209,8 @@ def evaluate_corpus(
     which removes detokenization whitespace artifacts without hiding real
     errors; a canonical string's tokens are its ``split()``. Unparseable
     predictions are tokenized raw. Each distinct equation text that parses
-    and solves is parsed, solved and canonicalized once per call.
+    and solves is parsed, solved and canonicalized once per call, and each
+    distinct (prediction, gold text) pair is scored once per call.
     """
     if len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} predictions for {len(records)} records")
@@ -195,32 +220,25 @@ def evaluate_corpus(
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
     per_record: list[dict] = []
-    # clipped n-gram counts are taken once per record and serve both the
-    # sentence score and the pooled corpus score
-    tallies: list[tuple[list[tuple[int, int]], int, int]] = []
+    # clipped n-gram counts are taken once per distinct pair and serve both
+    # the sentence score and the pooled corpus score
+    tallies: list[_Tally] = []
     # equation text -> (canonical string, value) for each text, gold or
     # predicted, that parsed and solved in this call
     solved: dict[str, tuple[str, Fraction]] = {}
+    # (prediction, gold text) -> (tally, row without its id): a row is a
+    # function of its pair and the tolerance, which is fixed for the call
+    scored: dict[tuple[str, str], tuple[_Tally, dict]] = {}
     correct = 0
     for pred, rec in zip(predictions, records):
-        ref_canon, ref_value = _gold(rec, solved)
-        cand_tokens, pred_value = _prediction(pred, solved)
-        if pred_value is None:
-            verdict = UNPARSEABLE
-        else:
-            verdict = CORRECT if abs(pred_value - ref_value) <= tol else WRONG
-        correct += verdict == CORRECT
-        ref_tokens = ref_canon.split()
-        tallies.append((_match_counts(cand_tokens, ref_tokens, MAX_N), len(cand_tokens), len(ref_tokens)))
-        per_record.append({
-            "id": rec.id,
-            "predicted": pred,
-            "reference": ref_canon,
-            "bleu": _sentence_bleu_from_counts(*tallies[-1]),
-            "solved_value": None if pred_value is None else str(pred_value),
-            "reference_value": str(ref_value),
-            "verdict": verdict,
-        })
+        pair = pred, rec.equation_text
+        hit = scored.get(pair)
+        if hit is None:
+            hit = scored[pair] = _score_pair(pred, rec, tol, solved)
+        tally, row = hit
+        tallies.append(tally)
+        correct += row["verdict"] == CORRECT
+        per_record.append({"id": rec.id, **row})
     return _Report({
         "corpus_bleu": _corpus_bleu_from_counts(tallies, MAX_N),
         "solution_accuracy": correct / len(records),

@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# The largest model.max_len: the position table is max_len x d_model float64,
+# 4 MB at this bound and d_model 128, and decoding takes up to max_len - 1 steps.
+MAX_LEN_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -24,6 +28,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {self.max_len}")
         if self.d_model % 2:  # the sinusoidal position table pairs up its dimensions
             raise ValueError(f"d_model must be even, got {self.d_model}")
         if self.d_model % self.n_heads != 0:

@@ -14,14 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mwp.cli
+import mwp.model.network
 import mwp.model.training
 from mwp import dataset as ds
-from mwp.cli import _grid_workers, build_parser, main
+from mwp.cli import _grid_workers, _write_json, build_parser, main
 from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from mwp.model.config import ModelConfig, TrainConfig
+from mwp.model.config import MAX_LEN_LIMIT, ModelConfig, TrainConfig
 from mwp.preprocess import DANDA
 from mwp.runconfig import (
     ConfigError,
@@ -282,6 +283,13 @@ def test_solve_equation_10000_term_sum(capsys):
     assert capsys.readouterr().out.strip() == "10000"
 
 
+def test_solve_equation_5000_nested_parentheses_is_data_error(capsys):
+    assert main(["solve", "--equation", "x = " + "(" * 5_000 + "1" + ")" * 5_000]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: more than 100 nested parentheses (offset 104)\n"
+
+
 def test_solve_division_by_zero_is_runtime_error(capsys):
     assert main(["solve", "--equation", "x = 5 / 0"]) == 4
     assert "runtime error" in capsys.readouterr().err
@@ -466,6 +474,7 @@ def test_eval_gold_predictions_score_perfectly(tmp_path, capsys):
     assert report["solution_accuracy"] == 1.0
     assert report["corpus_bleu"] == pytest.approx(100.0)
     assert "100.00%" in capsys.readouterr().out
+    assert report_path.read_text(encoding="utf-8") == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_eval_predictions_10000_term_sum_gets_a_verdict(tmp_path):
@@ -480,6 +489,23 @@ def test_eval_predictions_10000_term_sum_gets_a_verdict(tmp_path):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert [r["solved_value"] for r in report["per_record"]] == ["10000", "10000"]
     assert {r["verdict"] for r in report["per_record"]} <= {"correct", "wrong"}
+
+
+def test_eval_predictions_5000_nested_parentheses_are_unparseable(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    main(["datagen", "--n", "3", "--seed", "8", "--out", str(data)])
+    records = ds.load_dataset(data)
+    deep = "x = " + "(" * 5_000 + "1" + ")" * 5_000
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"id": r.id, "equation": deep if i else r.equation_text}) + "\n"
+                             for i, r in enumerate(records)), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--in", str(data), "--predictions", str(preds), "--out", str(report_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [r["verdict"] for r in report["per_record"]] == ["correct", "unparseable", "unparseable"]
+    assert report["per_record"][1]["predicted"] == deep
 
 
 def test_eval_empty_predictions_score_zero(tmp_path):
@@ -624,6 +650,31 @@ def test_odd_d_model_is_config_error(tmp_path, capsys, monkeypatch, command):
     assert calls == [] and not (tmp_path / "model.ckpt").exists() and not (tmp_path / "grid.json").exists()
 
 
+def no_position_table(max_len, d_model):
+    raise AssertionError(f"built a {max_len} x {d_model} position table")
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_max_len_past_its_bound_is_config_error(tmp_path, capsys, monkeypatch, command):
+    make_parts(tmp_path)
+    monkeypatch.setattr(mwp.model.network, "positional_encoding", no_position_table)
+    calls = count_train_calls(monkeypatch)
+    config = write_config(tmp_path, extra="grid.batch_sizes = 4\ngrid.epochs = 1\n")
+    huge = 10**12
+    config.write_text(config.read_text(encoding="utf-8").replace("model.max_len = 48", f"model.max_len = {huge}"),
+                      encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: max_len must be at most {MAX_LEN_LIMIT}, got {huge}\n"
+    assert calls == [] and not (tmp_path / "vocab").exists()
+    assert not (tmp_path / "model.ckpt").exists() and not (tmp_path / "grid.json").exists()
+
+
+def test_max_len_bound_is_inclusive():
+    assert ModelConfig(10, 10, max_len=MAX_LEN_LIMIT).max_len == MAX_LEN_LIMIT
+    with pytest.raises(ValueError, match=f"max_len must be at most {MAX_LEN_LIMIT}"):
+        ModelConfig(10, 10, max_len=MAX_LEN_LIMIT + 1)
+
+
 def test_bad_config_key_is_config_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("model.width = 64\n", encoding="utf-8")
@@ -680,7 +731,9 @@ def test_grid_trains_every_cell(tmp_path, capsys):
     config = write_config(tmp_path, extra="grid.batch_sizes = 4\ngrid.epochs = 1,2\n")
     assert main(["grid", "--config", str(config)]) == 0
     out = capsys.readouterr().out
-    report = json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))
+    text = (tmp_path / "grid.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     assert [(r["batch_size"], r["epochs"]) for r in report["rows"]] == [(4, 1), (4, 2)]
     assert all("bleu" in r and "accuracy" in r for r in report["rows"])
     assert out.count("transformer") == 2
@@ -903,6 +956,22 @@ def test_eval_survives_truncated_or_flipped_checkpoint(trained, data):
     assert eval_damaged(root, damaged) in (0, 3)
 
 
+def test_checkpoint_max_len_past_its_bound_is_data_error(trained, capsys, monkeypatch):
+    root, blob = trained
+    (meta_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    start = len(MAGIC) + 8
+    meta = json.loads(blob[start:start + meta_len])
+    meta["model_config"]["max_len"] = 10**12
+    edited = json.dumps(meta).encode("utf-8")
+    monkeypatch.setattr(mwp.model.network, "positional_encoding", no_position_table)
+    (root / "damaged.json").unlink(missing_ok=True)  # other tests of this checkpoint write one
+    assert eval_damaged(root, blob[:len(MAGIC)] + struct.pack("<Q", len(edited)) + edited + blob[start + meta_len:]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert f"max_len must be at most {MAX_LEN_LIMIT}, got {10**12}" in err
+    assert not (root / "damaged.json").exists()
+
+
 def test_huge_weight_is_one_data_error_line(trained, capsys):
     root, blob = trained
     ckpt = load_checkpoint(root / "model.ckpt")
@@ -961,3 +1030,38 @@ def test_record_data_error_is_one_line_naming_the_record(
     assert main([command, "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: " + expected.format(id=repr(records[0].id)))
+
+
+# --- report writer ------------------------------------------------------------------
+
+# strings the row encoding must not mistake for structure, and scalars of every JSON type
+WRITER_STRINGS = st.one_of(
+    st.sampled_from(["},\n      {", "\n    },\n    {\n      ", '"', "\\", "\n", "\x00\x1f\x7f", "আম ৩", "",
+                     '"per_record": []', "\u2028"]),
+    st.text(max_size=12),
+)
+WRITER_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), WRITER_STRINGS,
+    st.sampled_from([0.0, -0.0, 1e-07, 1e16, 0.1, float("inf"), float("nan")]), st.floats(),
+)
+FLAT_ROW = st.dictionaries(WRITER_STRINGS, WRITER_SCALARS, min_size=1, max_size=6)
+WRITER_ROWS = st.one_of(
+    st.lists(FLAT_ROW, min_size=1, max_size=6),
+    # an empty row list, an empty row or a row that is not flat goes the general way
+    st.lists(st.one_of(FLAT_ROW, st.just({}), st.dictionaries(WRITER_STRINGS, st.lists(WRITER_SCALARS, max_size=2),
+                                                              min_size=1, max_size=2)), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    before=st.dictionaries(WRITER_STRINGS, WRITER_SCALARS, max_size=3),
+    rows=WRITER_ROWS,
+    after=st.dictionaries(WRITER_STRINGS, st.one_of(WRITER_SCALARS, st.dictionaries(WRITER_STRINGS, WRITER_SCALARS,
+                                                                                     max_size=2)), max_size=3),
+)
+def test_write_json_bytes_equal_indent_2(tmp_path, before, rows, after):
+    payload = {**before, "per_record": rows, **{k: v for k, v in after.items() if k != "per_record"}}
+    _write_json(tmp_path / "report.json", payload)
+    assert (tmp_path / "report.json").read_bytes() == (json.dumps(payload, indent=2, ensure_ascii=False)
+                                                       + "\n").encode("utf-8")

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from mwp.equation import (
+    MAX_DEPTH,
     BinOp,
     DivisionByZero,
     EmptyExpression,
@@ -20,6 +21,7 @@ from mwp.equation import (
     Op,
     ParenMismatch,
     ParseError,
+    TooDeep,
     TrailingInput,
     UnexpectedToken,
     count_operators,
@@ -139,6 +141,23 @@ def test_parse_error_offsets():
 def test_errors_carry_offset_in_message():
     with pytest.raises(ParseError, match=r"offset"):
         parse_equation("x = 1 + @")
+
+
+def test_nesting_up_to_the_bound_parses():
+    eq = parse_equation("x = " + "(" * MAX_DEPTH + "1 + 2" + ")" * MAX_DEPTH)
+    assert solve(eq) == 3
+    assert to_canonical_string(eq) == "x = 1 + 2"
+    # the bound counts parentheses open at once, not parentheses in all
+    assert solve(parse_equation("x = " + " + ".join(["(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH] * 3))) == 3
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5_000])
+def test_nesting_past_the_bound_is_a_parse_error(depth):
+    # "x = " and then depth opening parentheses: the one past the bound is at offset 4 + MAX_DEPTH
+    with pytest.raises(TooDeep, match=f"more than {MAX_DEPTH} nested parentheses") as err:
+        parse_equation("x = " + "(" * depth + "1" + ")" * depth)
+    assert err.value.offset == 4 + MAX_DEPTH
+    assert isinstance(err.value, ParseError)
 
 
 # --- evaluation -------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bleu_oracle import CASES, _clipped, naive_corpus_bleu, naive_sentence_bleu
-from mwp import equation
+from mwp import equation, metrics
 from mwp.dataset import MwpRecord
 from mwp.metrics import (
     CORRECT,
@@ -230,9 +230,10 @@ def test_evaluate_corpus_parses_each_equation_once(monkeypatch):
 
 
 def test_evaluate_corpus_one_prediction_text_two_golds():
-    report = evaluate_corpus(["x = 2 + 3", "x = 2 + 3"], _records(["x = 5", "x = 6"]))
-    assert [r["verdict"] for r in report["per_record"]] == [CORRECT, WRONG]
-    assert [r["solved_value"] for r in report["per_record"]] == ["5", "5"]
+    report = evaluate_corpus(["x = 2 + 3"] * 4, _records(["x = 5", "x = 6", "x = 5", "x = 6"]))
+    assert [r["verdict"] for r in report["per_record"]] == [CORRECT, WRONG, CORRECT, WRONG]
+    assert [r["solved_value"] for r in report["per_record"]] == ["5"] * 4
+    assert [r["reference_value"] for r in report["per_record"]] == ["5", "6", "5", "6"]
 
 
 def test_evaluate_corpus_prediction_equal_to_another_gold():
@@ -272,6 +273,48 @@ def test_evaluate_corpus_equals_records_scored_alone():
     report = evaluate_corpus(predictions, records)
     alone = [evaluate_corpus([p], [r])["per_record"][0] for p, r in zip(predictions, records)]
     assert report["per_record"] == alone
+
+
+def test_evaluate_corpus_one_pair_under_three_ids():
+    records = [MwpRecord(i, f"problem {i}", "x = 2 + 3") for i in ("a", "b", "c")]
+    rows = evaluate_corpus(["x = 3 + 2"] * 3, records)["per_record"]
+    assert [r["id"] for r in rows] == ["a", "b", "c"]
+    assert [{**r, "id": None} for r in rows] == [{**rows[0], "id": None}] * 3
+    # each row is its own dict
+    rows[0]["verdict"] = "edited"
+    assert rows[1]["verdict"] == rows[2]["verdict"] == CORRECT
+
+
+def test_evaluate_corpus_bad_gold_names_its_first_record():
+    records = [MwpRecord(i, "p", eq) for i, eq in (("ok", "x = 1"), ("bad1", "x = 1 / 0"), ("bad2", "x = 1 / 0"))]
+    with pytest.raises(ValueError, match="record 'bad1': reference equation does not solve"):
+        evaluate_corpus(["x = 1"] * 3, records)
+    records = [MwpRecord(i, "p", eq) for i, eq in (("ok", "x = 1"), ("bad1", "x ="), ("bad2", "x ="))]
+    with pytest.raises(ValueError, match="record 'bad1': bad equation"):
+        evaluate_corpus(["x = 1", "x = 2", "x = 1"], records)
+
+
+def test_evaluate_corpus_calls_share_nothing_across_tolerances():
+    predictions, records = ["x = 3.01", "x = 3.01"], _records(["x = 3", "x = 3"])
+    for tolerance, verdict in ((0, WRONG), ("1/50", CORRECT), (0, WRONG)):
+        report = evaluate_corpus(predictions, records, tolerance=tolerance)
+        assert [r["verdict"] for r in report["per_record"]] == [verdict] * 2
+
+
+def test_evaluate_corpus_counts_each_distinct_pair_once(monkeypatch):
+    calls = []
+    real = metrics._match_counts
+
+    def counting(candidate, reference, max_n):
+        calls.append((tuple(candidate), tuple(reference)))
+        return real(candidate, reference, max_n)
+
+    monkeypatch.setattr(metrics, "_match_counts", counting)
+    predictions = ["x = 2 + 3", "x = 2 + 3", "x = 1 +", "x = 1 +", "x = 2 + 3", "x=2+3"]
+    golds = ["x = 5", "x = 5", "x = 5", "x = 5", "x = 6", "x = 5"]
+    evaluate_corpus(predictions, _records(golds))
+    # the last pair repeats the first's tokens, but not its prediction text
+    assert len(calls) == len(set(zip(predictions, golds))) == 4
 
 
 def test_evaluate_corpus_scores_a_10000_term_sum():
