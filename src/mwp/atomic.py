@@ -1,4 +1,5 @@
-"""Atomic file replacement for the artifacts the CLI writes.
+"""Atomic file replacement for the artifacts the CLI writes, and the one
+reader of the text files it reads.
 
 A file is written under a temporary name in its own directory, which is
 created first if it is missing, and moved over the target with
@@ -37,3 +38,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` in UTF-8, atomically."""
     with atomic_file(path) as fh:
         fh.write(text.encode("utf-8"))
+
+
+def read_utf8(path: str | Path, error: type[ValueError] = ValueError) -> str:
+    """The text of ``path`` decoded as UTF-8; bytes that do not decode raise
+    ``error`` with a message naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -375,6 +377,31 @@ def _grid_workers(batch_sizes: int) -> int:
     return min(batch_sizes, cpus)
 
 
+# BLAS reads these when it loads; one thread per worker keeps the workers
+# from running more BLAS threads than there are CPUs between them
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _worker_pool(max_workers: int):
+    """A process pool whose workers start fresh (``spawn``) with BLAS on one
+    thread each. A forked worker would inherit this process's BLAS, already
+    loaded with its own thread count. Spawned workers inherit the
+    environment, so the variables are set while the pool runs and then put
+    back as they were."""
+    saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
+    os.environ.update(_ONE_BLAS_THREAD)
+    try:
+        with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def cmd_grid(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     for b in cfg.grid_batch_sizes:  # a bad cell is a config error, found before any training
@@ -390,7 +417,7 @@ def cmd_grid(args) -> int:
     batch_sizes = list(dict.fromkeys(cfg.grid_batch_sizes))
     jobs = [(cfg, inputs, b, cfg.grid_epochs, test_records) for b in batch_sizes]
     if args.parallel:
-        with ProcessPoolExecutor(max_workers=_grid_workers(len(jobs))) as pool:
+        with _worker_pool(_grid_workers(len(jobs))) as pool:
             runs = dict(zip(batch_sizes, pool.map(_run_grid_batch, *zip(*jobs))))
     else:
         runs = {b: _run_grid_batch(*job) for b, job in zip(batch_sizes, jobs)}

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import equation
-from .atomic import write_text_atomic
+from .atomic import read_utf8, write_text_atomic
 
 
 class DatasetError(ValueError):
@@ -161,7 +161,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> list[MwpRecord]:
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format: {format!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, DatasetError)
     records: list[MwpRecord] = []
     seen: set[str] = set()
     for lineno, line in enumerate(text.split("\n"), start=1):

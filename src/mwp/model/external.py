@@ -14,6 +14,8 @@ import subprocess
 from pathlib import Path
 from typing import Protocol, Sequence
 
+from ..atomic import read_utf8
+
 
 class Predictor(Protocol):
     def predict(self, items: Sequence[tuple[str, str]]) -> dict[str, str]:
@@ -43,9 +45,7 @@ class FilePredictions:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._by_id = _parse_response_lines(
-            self.path.read_text(encoding="utf-8").splitlines(), str(self.path)
-        )
+        self._by_id = _parse_response_lines(read_utf8(self.path).splitlines(), str(self.path))
 
     def predict(self, items: Sequence[tuple[str, str]]) -> dict[str, str]:
         return {str(rid): self._by_id[str(rid)] for rid, _ in items if str(rid) in self._by_id}

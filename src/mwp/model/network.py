@@ -3,8 +3,10 @@
 Parameters live in a flat dict keyed by dotted names ("enc0.att.w_q",
 "dec1.ff.b2", ...), which keeps the optimizer and gradient checking generic.
 Everything is float64. The forward pass records the intermediates backward
-needs in a tape dict; backward walks the blocks in reverse and fills a grads
-dict with exactly the same keys as the parameters.
+needs in a tape dict; backward walks the blocks in reverse, takes each
+block's entry off the tape as it reads it, so a block's activations are
+freed once its backward has run, and fills a grads dict with exactly the
+same keys as the parameters. ``forward`` records no tape.
 
 Layout per layer (post-layer-norm residual blocks):
 
@@ -147,20 +149,31 @@ def _outer_grad(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 def _dropout_fwd(x, p, train, rng, tape, key):
+    """Inverted dropout. The tape keeps the boolean keep-mask, an eighth of a
+    float64 mask: ``x * keep * scale`` has the bits of ``x * (keep / (1 - p))``
+    for kept, dropped (a signed zero) and non-finite entries alike."""
     if not train or p == 0.0:
         if tape is not None:
             tape[key] = None
         return x
     if rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    tape[key] = mask
-    return x * mask
+    keep = rng.random(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    tape[key] = (keep, scale)
+    return _masked(x, keep, scale)
 
 
 def _dropout_bwd(d_out, tape, key):
-    mask = tape[key]
-    return d_out if mask is None else d_out * mask
+    entry = tape.pop(key)
+    return d_out if entry is None else _masked(d_out, *entry)
+
+
+def _masked(x, keep, scale):
+    """``x * keep * scale`` with one new array."""
+    out = x * keep
+    out *= scale
+    return out
 
 
 def _ln_fwd(params, prefix, x, tape=None):
@@ -174,7 +187,7 @@ def _ln_fwd(params, prefix, x, tape=None):
 
 
 def _ln_bwd(params, prefix, d_out, tape, grads):
-    xhat, inv = tape[prefix]
+    xhat, inv = tape.pop(prefix)
     axes = tuple(range(d_out.ndim - 1))
     grads[f"{prefix}.g"] = (d_out * xhat).sum(axis=axes)
     grads[f"{prefix}.b"] = d_out.sum(axis=axes)
@@ -214,7 +227,7 @@ def _mha_fwd(params, prefix, query, key, value, mask, tape=None, kv=None, w_q=No
 
 
 def _mha_bwd(params, prefix, d_out, tape, grads):
-    query, key, value, q, k, v, weights, concat = tape[prefix]
+    query, key, value, q, k, v, weights, concat = tape.pop(prefix)
     w_q, w_k, w_v, w_o = (params[f"{prefix}.{n}"] for n in ("w_q", "w_k", "w_v", "w_o"))
     grads[f"{prefix}.w_o"] = _outer_grad(concat, d_out)
     d_concat = _mm(d_out, w_o.T)
@@ -237,17 +250,18 @@ def _mha_bwd(params, prefix, d_out, tape, grads):
 
 def _ff_fwd(params, prefix, x, tape=None):
     pre = _mm(x, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"]
-    hidden = np.maximum(pre, 0.0)
+    hidden = np.maximum(pre, 0.0, out=pre)
     if tape is not None:
-        tape[prefix] = (x, pre, hidden)
+        tape[prefix] = (x, hidden)
     return _mm(hidden, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
 
 
 def _ff_bwd(params, prefix, d_out, tape, grads):
-    x, pre, hidden = tape[prefix]
+    x, hidden = tape.pop(prefix)
     grads[f"{prefix}.w2"] = _outer_grad(hidden, d_out)
     grads[f"{prefix}.b2"] = d_out.sum(axis=(0, 1))
-    d_hidden = _mm(d_out, params[f"{prefix}.w2"].T) * (pre > 0)
+    # the ReLU passes gradient where its input was positive, which is where its output is
+    d_hidden = _mm(d_out, params[f"{prefix}.w2"].T) * (hidden > 0)
     grads[f"{prefix}.w1"] = _outer_grad(x, d_hidden)
     grads[f"{prefix}.b1"] = d_hidden.sum(axis=(0, 1))
     return _mm(d_hidden, params[f"{prefix}.w1"].T)
@@ -291,6 +305,20 @@ def _encoder_stack(params, config, src, src_mask, tape=None, train=False, rng=No
     return x
 
 
+def _forward(params, config, src_ids, tgt_in_ids, tape=None, train=False, rng=None):
+    """Batched logits (B, T_tgt, tgt_vocab); records into ``tape`` unless it is None."""
+    src = _check_batch("src_ids", src_ids, config.max_len)
+    tgt = _check_batch("tgt_in_ids", tgt_in_ids, config.max_len)
+    if src.shape[0] != tgt.shape[0]:
+        raise ValueError("src and tgt batch sizes differ")
+    if tape is not None:
+        tape.update(src=src, tgt=tgt, scale=np.sqrt(config.d_model))
+    src_mask = padding_mask(src, PAD_ID)
+    memory = _encoder_stack(params, config, src, src_mask, tape, train, rng)
+    cache = start_decoding(params, config, memory, src_mask)
+    return _decoder_block(params, config, cache, tgt, memory, tape, train, rng)
+
+
 def forward_with_tape(
     params: Parameters,
     config: ModelConfig,
@@ -300,19 +328,12 @@ def forward_with_tape(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Batched logits (B, T_tgt, tgt_vocab) plus the tape backward consumes."""
-    src = _check_batch("src_ids", src_ids, config.max_len)
-    tgt = _check_batch("tgt_in_ids", tgt_in_ids, config.max_len)
-    if src.shape[0] != tgt.shape[0]:
-        raise ValueError("src and tgt batch sizes differ")
-    tape: dict = {"src": src, "tgt": tgt, "scale": np.sqrt(config.d_model)}
-    src_mask = padding_mask(src, PAD_ID)
-    memory = _encoder_stack(params, config, src, src_mask, tape, train, rng)
-    cache = start_decoding(params, config, memory, src_mask)
-    return _decoder_block(params, config, cache, tgt, memory, tape, train, rng), tape
+    tape: dict = {}
+    return _forward(params, config, src_ids, tgt_in_ids, tape, train, rng), tape
 
 
 def forward(params: Parameters, config: ModelConfig, src_ids, tgt_in_ids) -> np.ndarray:
-    """Evaluation-mode logits; accepts a single example (1-D) or a batch (2-D)."""
+    """Evaluation-mode logits, with no tape; accepts a single example (1-D) or a batch (2-D)."""
     src = np.asarray(src_ids)
     tgt = np.asarray(tgt_in_ids)
     single = src.ndim == 1
@@ -320,7 +341,7 @@ def forward(params: Parameters, config: ModelConfig, src_ids, tgt_in_ids) -> np.
         raise ValueError("src_ids and tgt_in_ids must both be 1-D or both 2-D")
     if single:
         src, tgt = src[None], tgt[None]
-    logits, _ = forward_with_tape(params, config, src, tgt, train=False)
+    logits = _forward(params, config, src, tgt)
     return logits[0] if single else logits
 
 
@@ -355,14 +376,15 @@ def backward(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, Parameters]:
-    """Loss and gradients for one batch; grads share the parameter dict keys."""
+    """Loss and gradients for one batch; grads share the parameter dict keys.
+
+    Each tape entry is popped as it is read, so the tape ends empty."""
     logits, tape = forward_with_tape(params, config, src_ids, tgt_in_ids, train=train, rng=rng)
     loss, d_logits = _ce_with_grad(logits, tgt_out_ids)
     grads: Parameters = {}
-    src, tgt, scale = tape["src"], tape["tgt"], tape["scale"]
+    src, tgt, scale = tape.pop("src"), tape.pop("tgt"), tape.pop("scale")
 
-    y = tape["dec_out"]
-    grads["out.w"] = _outer_grad(y, d_logits)
+    grads["out.w"] = _outer_grad(tape.pop("dec_out"), d_logits)
     grads["out.b"] = d_logits.sum(axis=(0, 1))
     d_y = _mm(d_logits, params["out.w"].T)
 

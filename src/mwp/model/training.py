@@ -17,7 +17,7 @@ from ..dataset import DatasetError, MwpRecord, gold_equation
 from ..equation import to_canonical_string
 from ..preprocess import PAD_ID, Vocab, encode, tokenize
 from .config import ModelConfig, TrainConfig
-from .network import Parameters, backward, cross_entropy_loss, forward_with_tape
+from .network import Parameters, backward, cross_entropy_loss, forward
 from .optim import adam_scratch, adam_update, clip_gradients, init_adam
 
 Pair = tuple[list[int], list[int]]
@@ -80,13 +80,13 @@ def _epoch_batches(pairs: Sequence[Pair], order: np.ndarray, batch_size: int):
 
 
 def evaluate_loss(params: Parameters, config: ModelConfig, pairs: Sequence[Pair], batch_size: int = 32) -> float:
-    """Token-weighted mean cross entropy over pairs, without dropout."""
+    """Token-weighted mean cross entropy over pairs, without dropout or a tape."""
     if not pairs:
         raise ValueError("evaluate_loss needs at least one pair")
     total, tokens = 0.0, 0
     order = np.arange(len(pairs))
     for src, tgt_in, tgt_out in _epoch_batches(pairs, order, batch_size):
-        logits, _ = forward_with_tape(params, config, src, tgt_in, train=False)
+        logits = forward(params, config, src, tgt_in)
         n = int((tgt_out != PAD_ID).sum())
         total += cross_entropy_loss(logits, tgt_out) * n
         tokens += n

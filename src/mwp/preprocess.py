@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .atomic import write_text_atomic
+from .atomic import read_utf8, write_text_atomic
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<bos>", "<eos>", "<unk>"
@@ -100,7 +100,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = read_utf8(path).split("\n")
         if lines and lines[-1] == "":
             lines = lines[:-1]
         if tuple(lines[:4]) != RESERVED_TOKENS:

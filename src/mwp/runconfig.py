@@ -14,6 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
+from .atomic import read_utf8
 from .model.config import ModelConfig, TrainConfig
 
 
@@ -175,7 +176,7 @@ def load_run_config(path: str | Path | None, seed: int | None = None) -> RunConf
         file = Path(path)
         if not file.is_file():
             raise ConfigError(f"config file not found: {file}")
-        config = run_config_from_mapping(parse_config_text(file.read_text(encoding="utf-8"), str(file)), str(file))
+        config = run_config_from_mapping(parse_config_text(read_utf8(file, ConfigError), str(file)), str(file))
     if seed is not None:
         config.seed = seed
     return config

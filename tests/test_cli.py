@@ -20,10 +20,10 @@ import mwp.cli
 import mwp.model.network
 import mwp.model.training
 from mwp import dataset as ds
-from mwp.cli import _grid_workers, _write_json, build_parser, main
+from mwp.cli import _grid_workers, _worker_pool, _write_json, build_parser, main
 from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mwp.model.config import MAX_LEN_LIMIT, ModelConfig, TrainConfig
-from mwp.preprocess import DANDA
+from mwp.preprocess import BOS_ID, DANDA
 from mwp.runconfig import (
     ConfigError,
     load_run_config,
@@ -114,6 +114,24 @@ def test_config_values_convert_and_validate():
 def test_missing_config_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_run_config(tmp_path / "absent.cfg")
+
+
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed = 5\n# \xff\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(config)
+    assert str(err.value) == f"{config} is not UTF-8 text: invalid start byte at byte 11"
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {config} is not UTF-8 text: invalid start byte at byte 11\n"
+
+
+def test_non_utf8_dataset_is_data_error_naming_it(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b"\xff\n")
+    assert main(["split", "--in", str(data), "--out", str(tmp_path / "parts")]) == 3
+    assert capsys.readouterr().err == f"data error: {data} is not UTF-8 text: invalid start byte at byte 0\n"
+    assert not (tmp_path / "parts").exists()
 
 
 def test_defaults_used_without_config_file():
@@ -866,6 +884,37 @@ def test_grid_parallel_matches_serial(tmp_path):
     serial = (tmp_path / "grid.json").read_bytes()
     assert grid_rows(tmp_path, "2,4", "2,1", "--parallel")[0] == 0
     assert (tmp_path / "grid.json").read_bytes() == serial
+
+
+def test_grid_parallel_worker_error_marks_only_its_cells(tmp_path, monkeypatch):
+    # a pair whose target is BOS alone makes a batch of its own fail in
+    # pad_batch, so the batch-1 run fails in epoch 1 while the batch-4 run
+    # trains; the spawned workers get the pair with the parent's inputs
+    make_parts(tmp_path)
+    real_inputs = mwp.cli._training_inputs
+
+    def with_short_target(cfg):
+        inputs = real_inputs(cfg)
+        return inputs._replace(pairs=inputs.pairs + [(inputs.pairs[0][0], [BOS_ID])])
+
+    monkeypatch.setattr(mwp.cli, "_training_inputs", with_short_target)
+    code, serial = grid_rows(tmp_path, "1,4", "0,1")
+    assert code == 4
+    assert ["error" in r for r in serial] == [False, True, False, False]
+    assert "at least two tokens" in serial[1]["error"]
+    assert grid_rows(tmp_path, "1,4", "0,1", "--parallel") == (code, serial)
+
+
+def test_worker_pool_runs_blas_on_one_thread(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with _worker_pool(1) as pool:
+        seen = list(pool.map(os.getenv, names))
+    assert seen == ["1", "1", "1"]
+    # and this process's environment is as it was
+    assert [os.environ.get(name) for name in names] == [None, "4", None]
 
 
 def test_grid_mid_run_nan_fails_only_later_cells(tmp_path, monkeypatch):

@@ -114,6 +114,14 @@ def test_tsv_wrong_column_count(tmp_path):
         load_dataset(path, format="tsv")
 
 
+def test_non_utf8_file_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"\xff" + '{"problem": "p", "equation": "x = 1"}\n'.encode())
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path} is not UTF-8 text: invalid start byte at byte 0"
+
+
 def test_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="unknown format"):
         load_dataset(tmp_path / "d.csv", format="csv")

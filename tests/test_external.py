@@ -43,6 +43,14 @@ def test_file_predictions_reject_invalid_json(tmp_path):
         FilePredictions(path)
 
 
+def test_file_predictions_name_a_non_utf8_file(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(b'{"id": "r1", "equation": "x = \xff"}\n')
+    with pytest.raises(ValueError) as err:
+        FilePredictions(path)
+    assert str(err.value) == f"{path} is not UTF-8 text: invalid start byte at byte 30"
+
+
 def test_file_predictions_reject_missing_keys(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text('{"id": "r1"}\n', encoding="utf-8")

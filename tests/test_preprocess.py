@@ -167,6 +167,14 @@ def test_vocab_load_rejects_bad_header(tmp_path):
         Vocab.load(path)
 
 
+def test_vocab_load_names_a_non_utf8_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("\n".join(RESERVED_TOKENS).encode() + b"\n\xe0\n")
+    with pytest.raises(ValueError) as err:
+        Vocab.load(path)
+    assert str(err.value) == f"{path} is not UTF-8 text: invalid continuation byte at byte 24"
+
+
 # --- encoding ---------------------------------------------------------------
 
 
