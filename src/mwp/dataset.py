@@ -20,13 +20,7 @@ from .atomic import read_utf8, write_text_atomic
 
 
 class DatasetError(ValueError):
-    """Malformed dataset content; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Malformed dataset content."""
 
 
 @dataclass
@@ -157,7 +151,7 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> list[MwpRecord]:
     """Read records from a JSONL or two-column TSV file.
 
     Missing ids default to the 1-based line number; duplicate ids and
-    malformed lines raise :class:`DatasetError` naming the line.
+    malformed lines raise :class:`DatasetError` naming the file and line.
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format: {format!r}")
@@ -171,26 +165,26 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> list[MwpRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                raise DatasetError(f"{path}, line {lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict) or "problem" not in obj or "equation" not in obj:
-                raise DatasetError("object must have 'problem' and 'equation' keys", line=lineno)
+                raise DatasetError(f"{path}, line {lineno}: object must have 'problem' and 'equation' keys")
             if not isinstance(obj["problem"], str) or not isinstance(obj["equation"], str):
-                raise DatasetError("'problem' and 'equation' must be strings", line=lineno)
+                raise DatasetError(f"{path}, line {lineno}: 'problem' and 'equation' must be strings")
             rec_id = str(obj.get("id", lineno))
             answer = None
             if obj.get("answer") is not None:
                 try:
                     answer = _parse_answer(obj["answer"])
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise DatasetError(f"bad answer: {exc}", line=lineno) from exc
+                    raise DatasetError(f"{path}, line {lineno}: bad answer: {exc}") from exc
             rec = MwpRecord(rec_id, obj["problem"], obj["equation"], answer)
         else:
             cols = line.split("\t")
             if len(cols) != 2:
-                raise DatasetError(f"expected 2 tab-separated columns, found {len(cols)}", line=lineno)
+                raise DatasetError(f"{path}, line {lineno}: expected 2 tab-separated columns, found {len(cols)}")
             rec = MwpRecord(str(lineno), cols[0], cols[1], None)
         if rec.id in seen:
-            raise DatasetError(f"duplicate id {rec.id!r}", line=lineno)
+            raise DatasetError(f"{path}, line {lineno}: duplicate id {rec.id!r}")
         seen.add(rec.id)
         records.append(rec)
     return records

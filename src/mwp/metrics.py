@@ -249,28 +249,16 @@ def evaluate_corpus(
 
 
 def format_results_table(rows: Sequence[dict]) -> str:
-    """Render rows as an aligned table: Model, Batch Size, Epoch, Bleu, Accuracy."""
+    """Render rows as an aligned table: Model, Batch Size, Epoch, Bleu, Accuracy.
+    A row with an ``error`` shows it in place of the two scores."""
     header = ("Model Name", "Batch Size", "Epoch", "Bleu", "Accuracy")
-    body = []
-    for row in rows:
-        if row.get("error"):
-            body.append((str(row.get("model", "-")), str(row.get("batch_size", "-")),
-                         str(row.get("epochs", "-")), "-", f"error: {row['error']}"))
-        else:
-            body.append(
-                (
-                    str(row.get("model", "transformer")),
-                    str(row["batch_size"]),
-                    str(row["epochs"]),
-                    f"{row['bleu']:.2f}",
-                    f"{100.0 * row['accuracy']:.2f}%",
-                )
-            )
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i]) for i in range(5)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(5)),
+    body = [
+        (*(str(row.get(key, "-")) for key in ("model", "batch_size", "epochs")),
+         *(("-", f"error: {row['error']}") if row.get("error")
+           else (f"{row['bleu']:.2f}", f"{100.0 * row['accuracy']:.2f}%")))
+        for row in rows
     ]
-    for r in body:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(5)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in (header, *body)]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..preprocess import BOS_ID, EOS_ID, PAD_ID
+from ..preprocess import BOS_ID, EOS_ID
 from .attention import log_softmax
 from .config import ModelConfig
-from .network import Parameters, decode_step, encode, start_decoding
+from .network import Parameters, decode_step, encode, pad_rows, start_decoding
 
 GREEDY_CHUNK_SIZE = 32
 BEAM_CHUNK_SIZE = 8  # records per chunk, so at most BEAM_CHUNK_SIZE * beam_size rows per step
@@ -78,9 +78,7 @@ def _encoded_chunks(params: Parameters, config: ModelConfig, sources, chunk_size
     order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     for start in range(0, len(order), chunk_size):
         chunk = order[start : start + chunk_size]
-        src = np.full((len(chunk), max(len(sources[i]) for i in chunk)), PAD_ID, dtype=np.int64)
-        for row, i in enumerate(chunk):
-            src[row, : len(sources[i])] = sources[i]
+        src = pad_rows([sources[i] for i in chunk])
         # no local holds the cache, so it dies with the caller's last reference
         yield chunk, start_decoding(params, config, *_encode_in_slices(params, config, src))
 

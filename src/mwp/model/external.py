@@ -12,14 +12,9 @@ from __future__ import annotations
 import json
 import subprocess
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from ..atomic import read_utf8
-
-
-class Predictor(Protocol):
-    def predict(self, items: Sequence[tuple[str, str]]) -> dict[str, str]:
-        """Map (id, problem) pairs to {id: equation}."""
 
 
 def _parse_response_lines(lines: Sequence[str], source: str) -> dict[str, str]:
@@ -84,8 +79,9 @@ class SubprocessPredictor:
         return _parse_response_lines(proc.stdout.splitlines(), f"{self.argv[0]} output")
 
 
-def external_predict(items: Sequence[tuple[str, str]], predictor: Predictor) -> list[str]:
-    """Predicted equations aligned with items; raises if ids do not line up."""
+def external_predict(items: Sequence[tuple[str, str]], predictor) -> list[str]:
+    """Predicted equations aligned with items; raises if ids do not line up.
+    ``predictor.predict(items)`` maps (id, problem) pairs to {id: equation}."""
     ids = [str(rid) for rid, _ in items]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -270,6 +270,15 @@ def _ff_bwd(params, prefix, d_out, tape, grads):
 # --- full model -------------------------------------------------------------
 
 
+def pad_rows(rows) -> np.ndarray:
+    """The (len(rows), longest row) int64 array of id rows, each filled out
+    with PAD on the right."""
+    out = np.full((len(rows), max(map(len, rows))), PAD_ID, dtype=np.int64)
+    for r, ids in enumerate(rows):
+        out[r, : len(ids)] = ids
+    return out
+
+
 def _check_batch(name, ids, max_len):
     ids = np.asarray(ids)
     if ids.ndim != 2:

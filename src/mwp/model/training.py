@@ -17,7 +17,7 @@ from ..dataset import DatasetError, MwpRecord, gold_equation
 from ..equation import to_canonical_string
 from ..preprocess import PAD_ID, Vocab, encode, tokenize
 from .config import ModelConfig, TrainConfig
-from .network import Parameters, backward, cross_entropy_loss, forward
+from .network import Parameters, backward, cross_entropy_loss, forward, pad_rows
 from .optim import adam_scratch, adam_update, clip_gradients, init_adam
 
 Pair = tuple[list[int], list[int]]
@@ -59,18 +59,9 @@ def pad_batch(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Pack pairs into (src, tgt_in, tgt_out) int arrays padded with PAD."""
     if not pairs:
         raise ValueError("cannot pack an empty batch")
-    src_len = max(len(s) for s, _ in pairs)
-    tgt_len = max(len(t) for _, t in pairs) - 1
-    if tgt_len < 1:
+    if max(len(t) for _, t in pairs) < 2:
         raise ValueError("target sequences must have at least two tokens (BOS + EOS)")
-    src = np.full((len(pairs), src_len), PAD_ID, dtype=np.int64)
-    tgt_in = np.full((len(pairs), tgt_len), PAD_ID, dtype=np.int64)
-    tgt_out = np.full((len(pairs), tgt_len), PAD_ID, dtype=np.int64)
-    for row, (s, t) in enumerate(pairs):
-        src[row, : len(s)] = s
-        tgt_in[row, : len(t) - 1] = t[:-1]
-        tgt_out[row, : len(t) - 1] = t[1:]
-    return src, tgt_in, tgt_out
+    return pad_rows([s for s, _ in pairs]), pad_rows([t[:-1] for _, t in pairs]), pad_rows([t[1:] for _, t in pairs])
 
 
 def _epoch_batches(pairs: Sequence[Pair], order: np.ndarray, batch_size: int):

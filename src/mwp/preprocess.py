@@ -105,7 +105,10 @@ class Vocab:
             lines = lines[:-1]
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: first four lines must be {RESERVED_TOKENS}")
-        return cls(lines[4:])
+        try:
+            return cls(lines[4:])
+        except ValueError as exc:  # a duplicate or reserved token
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocab:

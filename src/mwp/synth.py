@@ -54,25 +54,19 @@ def _div_pair(rng: random.Random, allow_fractions: bool) -> tuple[int, int]:
     return b * rng.randint(q_lo, _BIG_HI // b), b
 
 
-def _build_add(rng: random.Random, _frac: bool) -> tuple[str, str]:
-    loc, _, item = _lex(rng)
-    a, b = rng.randint(_BIG_LO, _BIG_HI), rng.randint(2, 9)
-    text = f"{loc} {_bn(a)} টি {item} আছে। আরও {_bn(b)} টা {item} রাখা হলো। মোট কতটি {item}?"
-    return text, f"{a} + {b}"
+def _template(text: str, rhs: str) -> Callable[[random.Random, bool], tuple[str, str]]:
+    """The build function of format strings over the slots ``loc``, ``bare``
+    and ``item`` and the operands, drawn after the slots: a two-digit ``a``,
+    a single-digit ``b`` and, when ``rhs`` names it, a single-digit ``c``."""
+    def build(rng: random.Random, _frac: bool) -> tuple[str, str]:
+        loc, bare, item = _lex(rng)
+        nums = {"a": rng.randint(_BIG_LO, _BIG_HI), "b": rng.randint(2, 9)}
+        if "{c}" in rhs:
+            nums["c"] = rng.randint(2, 9)
+        digits = {k: _bn(v) for k, v in nums.items()}
+        return text.format(loc=loc, bare=bare, item=item, **digits), rhs.format(**nums)
 
-
-def _build_sub(rng: random.Random, _frac: bool) -> tuple[str, str]:
-    loc, _, item = _lex(rng)
-    a, b = rng.randint(_BIG_LO, _BIG_HI), rng.randint(2, 9)
-    text = f"{loc} {_bn(a)} টি {item} ছিল। তারপর {_bn(b)} টা {item} নেওয়া হলো। এখন কতটি {item}?"
-    return text, f"{a} - {b}"
-
-
-def _build_mul(rng: random.Random, _frac: bool) -> tuple[str, str]:
-    loc, bare, item = _lex(rng)
-    a, b = rng.randint(_BIG_LO, _BIG_HI), rng.randint(2, 9)
-    text = f"{loc} {_bn(a)} টা {bare} আছে। প্রতিটিতে {_bn(b)} টি {item} ধরে। মোট কতটি {item}?"
-    return text, f"{a} * {b}"
+    return build
 
 
 def _build_div(rng: random.Random, allow_fractions: bool) -> tuple[str, str]:
@@ -80,28 +74,6 @@ def _build_div(rng: random.Random, allow_fractions: bool) -> tuple[str, str]:
     a, b = _div_pair(rng, allow_fractions)
     text = f"{loc} {_bn(a)} টি {item} ছিল। সেগুলো {_bn(b)} জন শিশুকে সমান ভাগ করা হলো। প্রত্যেকে কতটি {item}?"
     return text, f"{a} / {b}"
-
-
-def _build_add_sub(rng: random.Random, _frac: bool) -> tuple[str, str]:
-    loc, _, item = _lex(rng)
-    a, b = rng.randint(_BIG_LO, _BIG_HI), rng.randint(2, 9)
-    c = rng.randint(2, 9)
-    text = (
-        f"{loc} {_bn(a)} টি {item} ছিল। আরও {_bn(b)} টা {item} এল এবং"
-        f" {_bn(c)} টি {item} গেল। এখন কতটি {item}?"
-    )
-    return text, f"{a} + {b} - {c}"
-
-
-def _build_mul_sub(rng: random.Random, _frac: bool) -> tuple[str, str]:
-    loc, bare, item = _lex(rng)
-    a, b = rng.randint(_BIG_LO, _BIG_HI), rng.randint(2, 9)
-    c = rng.randint(2, 9)
-    text = (
-        f"{loc} {_bn(a)} টা {bare} আছে। প্রতিটিতে {_bn(b)} টি {item} ধরে এবং"
-        f" {_bn(c)} টি {item} গেল। এখন কতটি {item}?"
-    )
-    return text, f"{a} * {b} - {c}"
 
 
 def _build_add_div(rng: random.Random, _frac: bool) -> tuple[str, str]:
@@ -120,11 +92,15 @@ def _build_add_div(rng: random.Random, _frac: bool) -> tuple[str, str]:
 # Each build function draws operands and lexical slots and returns (problem
 # text, equation rhs). The key order is the order classes are allocated in.
 _TEMPLATES: dict[EquationClass, list[Callable[[random.Random, bool], tuple[str, str]]]] = {
-    EquationClass.SIMPLE_ADD: [_build_add],
-    EquationClass.SIMPLE_SUB: [_build_sub],
-    EquationClass.SIMPLE_MUL: [_build_mul],
+    EquationClass.SIMPLE_ADD: [_template("{loc} {a} টি {item} আছে। আরও {b} টা {item} রাখা হলো। মোট কতটি {item}?", "{a} + {b}")],
+    EquationClass.SIMPLE_SUB: [_template("{loc} {a} টি {item} ছিল। তারপর {b} টা {item} নেওয়া হলো। এখন কতটি {item}?", "{a} - {b}")],
+    EquationClass.SIMPLE_MUL: [_template("{loc} {a} টা {bare} আছে। প্রতিটিতে {b} টি {item} ধরে। মোট কতটি {item}?", "{a} * {b}")],
     EquationClass.SIMPLE_DIV: [_build_div],
-    EquationClass.COMPLEX: [_build_add_sub, _build_mul_sub, _build_add_div],
+    EquationClass.COMPLEX: [
+        _template("{loc} {a} টি {item} ছিল। আরও {b} টা {item} এল এবং {c} টি {item} গেল। এখন কতটি {item}?", "{a} + {b} - {c}"),
+        _template("{loc} {a} টা {bare} আছে। প্রতিটিতে {b} টি {item} ধরে এবং {c} টি {item} গেল। এখন কতটি {item}?", "{a} * {b} - {c}"),
+        _build_add_div,
+    ],
 }
 
 # Class mix of the reference corpus this generator stands in for.
@@ -145,7 +121,12 @@ def _normalize_profile(profile: Mapping) -> dict[EquationClass, Fraction]:
         cls = _CLASS_BY_KEY.get(str(key).lower())
         if cls is None:
             raise ValueError(f"unknown equation class {key!r}")
-        out[cls] = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+        try:
+            out[cls] = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad proportion {key}={value}: {exc}") from exc
+        if out[cls] < 0:
+            raise ValueError(f"profile proportions must be >= 0, got {key}={value}")
     if sum(out.values()) != 1:
         raise ValueError("profile proportions must sum to 1")
     return out

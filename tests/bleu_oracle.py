@@ -1,11 +1,5 @@
-"""Naive reference BLEU used to cross-check the packaged implementation.
-
-Deliberately written with a different algorithm: n-gram clipping by removal
-from a reference pool instead of Counter intersection, and explicit product
-accumulation instead of summed logs.
-"""
-
-import math
+"""BLEU cases the packaged implementation is checked on against the
+benchmark's reference BLEU (``bench/oracle.py``)."""
 
 # (candidate, reference) token-string pairs covering identity, reorder,
 # clipping, brevity, disjoint, and length-edge behavior.
@@ -33,60 +27,3 @@ CASES = [
     ("", "x = 1"),
     ("x = 8 / 2", "x = 8 / 2"),
 ]
-
-
-def _clipped(cand: list, ref: list, n: int) -> tuple[int, int]:
-    grams = [tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)]
-    pool = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
-    hits = 0
-    for gram in grams:
-        if gram in pool:
-            pool.remove(gram)
-            hits += 1
-    return hits, len(grams)
-
-
-def _bp(cand_len: int, ref_len: int) -> float:
-    if cand_len == 0:
-        return 0.0
-    if cand_len >= ref_len:
-        return 1.0
-    return math.exp(1.0 - ref_len / cand_len)
-
-
-def naive_sentence_bleu(cand: list, ref: list, max_n: int = 4) -> float:
-    if not cand:
-        return 0.0
-    product = 1.0
-    for n in range(1, max_n + 1):
-        hits, total = _clipped(cand, ref, n)
-        if n == 1:
-            if hits == 0:
-                return 0.0
-            product *= hits / total
-        else:
-            product *= (hits + 1) / (total + 1)
-    return _bp(len(cand), len(ref)) * product ** (1.0 / max_n)
-
-
-def naive_corpus_bleu(pairs: list, max_n: int = 4) -> float:
-    cand_len = sum(len(c) for c, _ in pairs)
-    ref_len = sum(len(r) for _, r in pairs)
-    precisions = []
-    for n in range(1, max_n + 1):
-        hits = total = 0
-        for cand, ref in pairs:
-            h, t = _clipped(cand, ref, n)
-            hits += h
-            total += t
-        if total == 0:
-            continue
-        if hits == 0:
-            return 0.0
-        precisions.append(hits / total)
-    if not precisions:
-        return 0.0
-    product = 1.0
-    for p in precisions:
-        product *= p
-    return 100.0 * _bp(cand_len, ref_len) * product ** (1.0 / len(precisions))

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bleu_oracle import CASES, naive_sentence_bleu
+from bleu_oracle import CASES
 from test_attention import attend
 from test_equation import oracle_eval, random_expr
+from test_metrics import oracle
 
 from mwp import dataset as ds
 from mwp.cli import main
@@ -220,7 +221,7 @@ def test_c07_bleu_matches_oracle():
     worst = 0.0
     for candidate, reference in CASES:
         got = sentence_bleu(candidate.split(), reference.split())
-        want = naive_sentence_bleu(candidate.split(), reference.split())
+        want = oracle.sentence_bleu(candidate.split(), reference.split())
         worst = max(worst, abs(got - want))
     same = "x = 7 - 3".split()
     identical = corpus_bleu([(same, same)])

@@ -23,7 +23,7 @@ from mwp import dataset as ds
 from mwp.cli import _grid_workers, _worker_pool, _write_json, build_parser, main
 from mwp.model.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mwp.model.config import MAX_LEN_LIMIT, ModelConfig, TrainConfig
-from mwp.preprocess import BOS_ID, DANDA
+from mwp.preprocess import BOS_ID, DANDA, RESERVED_TOKENS
 from mwp.runconfig import (
     ConfigError,
     load_run_config,
@@ -224,6 +224,13 @@ def test_datagen_bad_profile_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_datagen_negative_profile_is_config_error(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert main(["datagen", "--n", "10", "--seed", "1", "--out", str(out), "--profile", "add=1.5,sub=-0.5"]) == 2
+    assert "config error: profile proportions must be >= 0, got sub=-0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- split ------------------------------------------------------------------------
 
 
@@ -262,7 +269,7 @@ def test_split_non_string_fields_are_data_error(tmp_path, capsys):
     data.write_text('{"problem": "p", "equation": "x = 1"}\n{"problem": {"a": 1}, "equation": "x = 2"}\n',
                     encoding="utf-8")
     assert main(["split", "--in", str(data), "--out", str(tmp_path / "parts")]) == 3
-    assert "line 2: 'problem' and 'equation' must be strings" in capsys.readouterr().err
+    assert f"data error: {data}, line 2: 'problem' and 'equation' must be strings" in capsys.readouterr().err
     assert not (tmp_path / "parts").exists()
 
 
@@ -435,6 +442,24 @@ def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["train", "--config", str(config)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_train_duplicate_validation_id_is_data_error_naming_the_file(tmp_path, capsys):
+    make_parts(tmp_path)
+    validation = tmp_path / "parts" / "validation.jsonl"
+    validation.write_text('{"id": "1", "problem": "p", "equation": "x = 1"}\n' * 2, encoding="utf-8")
+    assert main(["train", "--config", str(write_config(tmp_path))]) == 3
+    assert capsys.readouterr().err == f"data error: {validation}, line 2: duplicate id '1'\n"
+
+
+def test_train_duplicate_vocab_token_is_data_error_naming_the_file(tmp_path, capsys):
+    make_parts(tmp_path)
+    vocab = tmp_path / "vocab"
+    vocab.mkdir()
+    (vocab / "src_vocab.txt").write_text("\n".join([*RESERVED_TOKENS, "আম", "আম"]) + "\n", encoding="utf-8")
+    (vocab / "tgt_vocab.txt").write_text("\n".join(RESERVED_TOKENS) + "\n", encoding="utf-8")
+    assert main(["train", "--config", str(write_config(tmp_path))]) == 3
+    assert capsys.readouterr().err == f"data error: {vocab / 'src_vocab.txt'}: duplicate tokens in vocabulary\n"
 
 
 def test_train_zero_epochs_saves_initial_parameters(tmp_path):

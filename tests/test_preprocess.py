@@ -167,6 +167,16 @@ def test_vocab_load_rejects_bad_header(tmp_path):
         Vocab.load(path)
 
 
+@pytest.mark.parametrize("tokens, problem", [(["a", "b", "a"], "duplicate tokens in vocabulary"),
+                                             (["a", "<pad>"], "token '<pad>' collides with a reserved token")])
+def test_vocab_load_names_the_file_of_a_bad_token_list(tmp_path, tokens, problem):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join([*RESERVED_TOKENS, *tokens]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocab.load(path)
+    assert str(err.value) == f"{path}: {problem}"
+
+
 def test_vocab_load_names_a_non_utf8_file(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_bytes("\n".join(RESERVED_TOKENS).encode() + b"\n\xe0\n")

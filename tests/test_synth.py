@@ -1,9 +1,11 @@
 """Synthetic word-problem generator tests."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from mwp.cli import main
 from mwp.dataset import EquationClass, classify_equation, summarize
 from mwp.equation import parse_equation, solve
 from mwp.preprocess import DANDA, tokenize
@@ -93,3 +95,37 @@ def test_unknown_profile_key():
 def test_profile_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
         generate_synthetic(5, seed=0, profile={"add": 0.5, "sub": 0.4})
+
+
+def test_profile_refuses_negative_proportion():
+    # 1.5 and -0.5 sum to 1, but a class cannot take a negative share
+    with pytest.raises(ValueError, match=">= 0.*sub=-0.5"):
+        generate_synthetic(10, seed=1, profile={"add": "1.5", "sub": "-0.5"})
+
+
+def test_profile_allows_zero_proportion():
+    records = generate_synthetic(10, seed=1, profile={"add": 1.0, "sub": 0.0})
+    assert summarize(records)["add"] == 10
+
+
+def test_profile_refuses_zero_denominator():
+    with pytest.raises(ValueError, match="add=1/0"):
+        generate_synthetic(10, seed=1, profile={"add": "1/0"})
+
+
+# sha256 of the file `mwp datagen` writes, taken before the operand templates
+# became one table: any change to a template's text, operands or RNG draw
+# order changes these bytes
+GOLDEN_DATAGEN = [
+    (["--n", "1000", "--seed", "11"], "6779c4299cae498d8c38b1d67807284c740d7962f3dc6b3d3959bc094026bd17"),
+    (["--n", "500", "--seed", "5", "--allow-fractions", "--profile",
+      "add=0.2,sub=0.3,mul=0.2,div=0.25,complex=0.05"],
+     "0225c3aafaa4fd8bd07a7842fdffa5a65dffb7083e8e9bc5431babe62d02bb48"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_DATAGEN, ids=["default-n1000-seed11", "fractions-n500-seed5"])
+def test_datagen_bytes_are_golden(tmp_path, capsys, args, digest):
+    out = tmp_path / "data.jsonl"
+    assert main(["datagen", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
