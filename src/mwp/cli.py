@@ -60,12 +60,12 @@ def _format_value(value: Fraction) -> str:
         return str(value)
 
 
-def _load_records(path: str | Path, fmt: str | None = None) -> list[ds.MwpRecord]:
-    """Records of a dataset file, read as ``fmt`` or by its extension."""
+def _load_records(path: str | Path) -> list[ds.MwpRecord]:
+    """Records of a dataset file: TSV when its name ends in ``.tsv``, JSONL otherwise."""
     file = Path(path)
     if not file.is_file():
         raise ds.DatasetError(f"dataset file not found: {file}")
-    return ds.load_dataset(file, format=fmt or ("tsv" if str(file).endswith(".tsv") else "jsonl"))
+    return ds.load_dataset(file, format="tsv" if str(file).endswith(".tsv") else "jsonl")
 
 
 def _check_max_len(records, lengths, max_len: int) -> None:
@@ -220,12 +220,12 @@ def cmd_datagen(args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     profile = synth.DEFAULT_PROFILE
     if args.profile:
-        profile = {}
+        profile = []
         for item in args.profile.split(","):
             key, sep, value = item.partition("=")
             if not sep:
                 raise ConfigError(f"--profile entries must look like add=0.2, got {item!r}")
-            profile[key.strip()] = value.strip()
+            profile.append((key.strip(), value.strip()))
     try:
         records = synth.generate_synthetic(args.n, args.seed, profile, allow_fractions=args.allow_fractions)
     except ValueError as exc:
@@ -241,13 +241,12 @@ def cmd_datagen(args) -> int:
 
 def cmd_split(args) -> int:
     _reject_empty_paths(**{"in": args.in_path, "out": args.out_dir})
-    ratios = args.ratios if args.ratios else (0.8, 0.1, 0.1)
     try:
-        ds.split_fractions(ratios)  # a bad ratio is a config error, found before the data is read
+        ds.split_fractions(args.ratios)  # a bad ratio is a config error, found before the data is read
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = _load_records(args.in_path, args.format)
-    parts = ds.split_dataset(records, args.seed, ratios)
+    records = _load_records(args.in_path)
+    parts = ds.split_dataset(records, args.seed, args.ratios)
     out_dir = Path(args.out_dir)
     for name, part in zip(("train", "validation", "test"), parts):
         ds.save_dataset(part, out_dir / f"{name}.jsonl")
@@ -287,13 +286,13 @@ def cmd_eval(args) -> int:
     if args.predictions is not None and args.predictor_cmd is not None:
         raise ConfigError("give either --predictions or --predictor-cmd, not both")
     predictor_argv = None if args.predictor_cmd is None else _predictor_argv(args.predictor_cmd)
-    cfg = load_run_config(args.config, args.seed)
+    cfg = load_run_config(args.config)
     test_path = cfg.test_path if args.in_path is None else args.in_path
     report_path = cfg.report_path if args.out is None else args.out
     beam = cfg.beam if args.beam is None else checked_beam(args.beam)
     tol = cfg.tolerance if args.tolerance is None else as_tolerance(args.tolerance)
 
-    records = _load_records(test_path, args.format)
+    records = _load_records(test_path)
     row = {"model": "transformer", "batch_size": "-", "epochs": "-"}
     if args.predictions is not None or predictor_argv is not None:
         predictions, source = _external_predictions(args, predictor_argv, records)
@@ -372,7 +371,8 @@ def _run_grid_batch(cfg: RunConfig, inputs: TrainingInputs, batch_size: int, epo
 
 
 def _grid_workers(batch_sizes: int) -> int:
-    """One process per batch size, at most one per CPU this process may run on."""
+    """One process per batch size, at most one per CPU this process may run on. With one
+    worker the grid trains in this process, where BLAS keeps all of its threads."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(batch_sizes, cpus)
 
@@ -416,8 +416,8 @@ def cmd_grid(args) -> int:
     inputs = _training_inputs(cfg)
     batch_sizes = list(dict.fromkeys(cfg.grid_batch_sizes))
     jobs = [(cfg, inputs, b, cfg.grid_epochs, test_records) for b in batch_sizes]
-    if args.parallel:
-        with _worker_pool(_grid_workers(len(jobs))) as pool:
+    if (workers := _grid_workers(len(jobs))) > 1:
+        with _worker_pool(workers) as pool:
             runs = dict(zip(batch_sizes, pool.map(_run_grid_batch, *zip(*jobs))))
     else:
         runs = {b: _run_grid_batch(*job) for b, job in zip(batch_sizes, jobs)}
@@ -460,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True, help="input dataset path")
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratios", type=_ratios_arg, help="three ratios summing to 1, e.g. 0.8,0.1,0.1")
-    p.add_argument("--format", choices=("jsonl", "tsv"), help="input format (default: by extension)")
+    p.add_argument("--ratios", type=_ratios_arg, default=(0.8, 0.1, 0.1), help="three ratios summing to 1")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train a model from config settings")
@@ -471,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or external predictions")
     p.add_argument("--config", help="run config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--in", dest="in_path", help="test dataset path (default from config)")
     p.add_argument("--out", help="report JSON path (default from config)")
     p.add_argument("--checkpoint", help="checkpoint path (default from config)")
@@ -479,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictor-cmd", help="command reading request JSONL on stdin, writing predictions")
     p.add_argument("--beam", type=int, help="beam size; 0 decodes greedily")
     p.add_argument("--tolerance", help="solution-accuracy tolerance (rational, default 0)")
-    p.add_argument("--format", choices=("jsonl", "tsv"), help="test set format (default: by extension)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve", help="solve an equation or a word problem")
@@ -493,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="train/eval every batch-size x epochs cell")
     p.add_argument("--config", help="run config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--parallel", action="store_true", help="train the batch sizes concurrently")
     p.set_defaults(func=cmd_grid)
     return parser
 

@@ -7,10 +7,10 @@ disagree on predictions that are mathematically right but reordered.
 
 BLEU conventions used here:
 
-* ``sentence_bleu`` returns a value in [0, 1] and applies add-one smoothing
+* ``sentence_bleu`` returns BLEU-4 in [0, 1] and applies add-one smoothing
   to the n >= 2 precisions, so single-sentence scores are never zero merely
   because one higher-order count is empty.
-* ``corpus_bleu`` returns the conventional 0..100 scale from micro-averaged
+* ``corpus_bleu`` returns BLEU-4 on the 0..100 scale from micro-averaged
   (pooled) counts with no smoothing; the brevity penalty uses total lengths.
 
 ``evaluate_corpus`` is the one scorer of predictions against records. It
@@ -32,7 +32,7 @@ from .dataset import gold_equation
 from .preprocess import tokenize
 
 CORRECT, WRONG, UNPARSEABLE = "correct", "wrong", "unparseable"
-MAX_N = 4  # the highest n-gram order BLEU counts
+MAX_N = 4  # the highest n-gram order BLEU counts: BLEU-4, as the paper reports
 
 # one pair's BLEU tally: clipped matches and totals per order, candidate and reference lengths
 _Tally = tuple[list[tuple[int, int]], int, int]
@@ -46,20 +46,20 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
-def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
-    """Every n-gram of orders 1..max_n in one counter; grams of different
+def _ngram_counts(tokens: Sequence[str]) -> Counter:
+    """Every n-gram of orders 1..MAX_N in one counter; grams of different
     orders are tuples of different lengths, so they never collide."""
-    return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in range(1, max_n + 1)))
+    return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in range(1, MAX_N + 1)))
 
 
-def _match_counts(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> list[tuple[int, int]]:
-    """Clipped matches and candidate n-gram totals for n = 1..max_n."""
-    totals = [max(len(candidate) - n + 1, 0) for n in range(1, max_n + 1)]
+def _match_counts(candidate: Sequence[str], reference: Sequence[str]) -> list[tuple[int, int]]:
+    """Clipped matches and candidate n-gram totals for n = 1..MAX_N."""
+    totals = [max(len(candidate) - n + 1, 0) for n in range(1, MAX_N + 1)]
     if candidate == reference:  # every candidate n-gram is matched
         return list(zip(totals, totals))
-    ref = _ngram_counts(reference, max_n)
-    matches = [0] * max_n
-    for gram, count in _ngram_counts(candidate, max_n).items():
+    ref = _ngram_counts(reference)
+    matches = [0] * MAX_N
+    for gram, count in _ngram_counts(candidate).items():
         if gram in ref:
             matches[len(gram) - 1] += min(count, ref[gram])
     return list(zip(matches, totals))
@@ -78,10 +78,10 @@ def _sentence_bleu_from_counts(counts: list[tuple[int, int]], cand_len: int, ref
     return _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / len(counts))
 
 
-def _corpus_bleu_from_counts(tallies: Sequence[_Tally], max_n: int) -> float:
+def _corpus_bleu_from_counts(tallies: Sequence[_Tally]) -> float:
     """Corpus BLEU from per-pair (counts, candidate length, reference length)."""
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     cand_len = ref_len = 0
     for counts, c_len, r_len in tallies:
         cand_len += c_len
@@ -103,21 +103,19 @@ def _corpus_bleu_from_counts(tallies: Sequence[_Tally], max_n: int) -> float:
     return 100.0 * _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / orders)
 
 
-def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = MAX_N) -> float:
-    """Smoothed sentence-level BLEU in [0, 1].
+def sentence_bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """Smoothed sentence-level BLEU-4 in [0, 1].
 
-    Geometric mean of modified n-gram precisions for n = 1..max_n; the
+    Geometric mean of modified n-gram precisions for n = 1..4; the
     unigram precision is unsmoothed (no overlap or an empty candidate scores
     zero) and the higher orders get add-one smoothing, times the brevity
     penalty.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    return _sentence_bleu_from_counts(_match_counts(candidate, reference, max_n), len(candidate), len(reference))
+    return _sentence_bleu_from_counts(_match_counts(candidate, reference), len(candidate), len(reference))
 
 
-def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int = MAX_N) -> float:
-    """Corpus BLEU on the 0..100 scale with pooled, unsmoothed counts.
+def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
+    """Corpus BLEU-4 on the 0..100 scale with pooled, unsmoothed counts.
 
     N-gram orders for which the whole corpus has no candidate n-grams are
     excluded from the geometric mean (short sentences would otherwise zero
@@ -125,10 +123,7 @@ def corpus_bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]], max_n: int
     """
     if not pairs:
         raise ValueError("corpus_bleu needs at least one pair")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    tallies = [(_match_counts(c, r, max_n), len(c), len(r)) for c, r in pairs]
-    return _corpus_bleu_from_counts(tallies, max_n)
+    return _corpus_bleu_from_counts([(_match_counts(c, r), len(c), len(r)) for c, r in pairs])
 
 
 # --- solution accuracy and the corpus report ----------------------------------
@@ -176,7 +171,7 @@ def _score_pair(pred: str, rec, tol: Fraction, solved: dict[str, tuple[str, Frac
     else:
         verdict = CORRECT if abs(pred_value - ref_value) <= tol else WRONG
     ref_tokens = ref_canon.split()
-    tally = _match_counts(cand_tokens, ref_tokens, MAX_N), len(cand_tokens), len(ref_tokens)
+    tally = _match_counts(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens)
     return tally, {
         "predicted": pred,
         "reference": ref_canon,
@@ -240,7 +235,7 @@ def evaluate_corpus(
         correct += row["verdict"] == CORRECT
         per_record.append({"id": rec.id, **row})
     return _Report({
-        "corpus_bleu": _corpus_bleu_from_counts(tallies, MAX_N),
+        "corpus_bleu": _corpus_bleu_from_counts(tallies),
         "solution_accuracy": correct / len(records),
         "n_records": len(records),
         "per_record": per_record,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_file
-from ..preprocess import RESERVED_TOKENS, Vocab
+from ..preprocess import Vocab
 from .config import ModelConfig
 from .network import Parameters, parameter_shapes
 
@@ -140,8 +140,7 @@ def _manifest(path, tensors, expected: dict[str, tuple[int, ...]]) -> list[tuple
 def _vocab_from_tokens(path, name, tokens, size: int) -> Vocab:
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"{path}: {name} is not a list of tokens")
-    if tuple(tokens[:4]) != RESERVED_TOKENS:
-        raise ValueError(f"{path}: {name} does not start with the reserved tokens")
-    if len(tokens) != size:
-        raise ValueError(f"{path}: {name} has {len(tokens)} tokens, the model config {size}")
-    return Vocab(tokens[4:])
+    vocab = Vocab.from_stored(tokens, f"{path}: {name}")
+    if len(vocab) != size:
+        raise ValueError(f"{path}: {name} has {len(vocab)} tokens, the model config {size}")
+    return vocab

@@ -103,12 +103,17 @@ class Vocab:
         lines = read_utf8(path).split("\n")
         if lines and lines[-1] == "":
             lines = lines[:-1]
-        if tuple(lines[:4]) != RESERVED_TOKENS:
-            raise ValueError(f"{path}: first four lines must be {RESERVED_TOKENS}")
+        return cls.from_stored(lines, path)
+
+    @classmethod
+    def from_stored(cls, tokens: Sequence[str], source: str | Path) -> "Vocab":
+        """The vocabulary stored as ``tokens``, its ids in order; a ValueError names ``source``."""
+        if tuple(tokens[:4]) != RESERVED_TOKENS:
+            raise ValueError(f"{source}: does not start with the reserved tokens {RESERVED_TOKENS}")
         try:
-            return cls(lines[4:])
+            return cls(tokens[4:])
         except ValueError as exc:  # a duplicate or reserved token
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ValueError(f"{source}: {exc}") from exc
 
 
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocab:

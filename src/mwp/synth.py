@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import equation
 from .dataset import EquationClass, MwpRecord, allocate_counts
@@ -115,12 +115,14 @@ DEFAULT_PROFILE: Mapping[str, float] = {
 _CLASS_BY_KEY = {cls.value: cls for cls in _TEMPLATES}
 
 
-def _normalize_profile(profile: Mapping) -> dict[EquationClass, Fraction]:
+def _normalize_profile(profile: Mapping | Iterable[tuple]) -> dict[EquationClass, Fraction]:
     out: dict[EquationClass, Fraction] = {}
-    for key, value in profile.items():
+    for key, value in profile.items() if isinstance(profile, Mapping) else profile:
         cls = _CLASS_BY_KEY.get(str(key).lower())
         if cls is None:
             raise ValueError(f"unknown equation class {key!r}")
+        if cls in out:  # a later value would silently replace the first
+            raise ValueError(f"profile names class {cls.value!r} twice")
         try:
             out[cls] = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
         except ZeroDivisionError as exc:
@@ -135,11 +137,11 @@ def _normalize_profile(profile: Mapping) -> dict[EquationClass, Fraction]:
 def generate_synthetic(
     n: int,
     seed: int,
-    profile: Mapping = DEFAULT_PROFILE,
+    profile: Mapping | Iterable[tuple] = DEFAULT_PROFILE,
     allow_fractions: bool = False,
 ) -> list[MwpRecord]:
-    """Generate ``n`` records whose class mix matches ``profile`` up to
-    largest-remainder rounding. Byte-identical output for a given seed."""
+    """Generate ``n`` records whose class mix matches ``profile`` (a mapping or pairs, naming
+    each class once) up to largest-remainder rounding. Byte-identical output for a given seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     props = _normalize_profile(profile)

@@ -179,7 +179,7 @@ def test_seed_argument_replaces_config_seed(tmp_path):
 
 
 def test_grid_parallel_key_is_gone(tmp_path, capsys):
-    # --parallel is the one switch for concurrent grid runs
+    # the grid picks its own number of workers; no setting chooses it
     with pytest.raises(ConfigError, match="unknown key 'grid.parallel'"):
         run_config_from_mapping({"grid.parallel": "true"})
     config = tmp_path / "run.cfg"
@@ -231,6 +231,15 @@ def test_datagen_negative_profile_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("profile, named", [("sub=1,sub=0,add=1", "sub"), ("add=0,ADD=1,sub=0", "add")],
+                         ids=["same-key", "same-key-other-case"])
+def test_datagen_class_named_twice_is_config_error(tmp_path, capsys, profile, named):
+    out = tmp_path / "y.jsonl"
+    assert main(["datagen", "--n", "10", "--seed", "1", "--out", str(out), "--profile", profile]) == 2
+    assert capsys.readouterr().err == f"config error: profile names class {named!r} twice\n"
+    assert not out.exists()
+
+
 # --- split ------------------------------------------------------------------------
 
 
@@ -246,6 +255,22 @@ def test_split_writes_three_parts(tmp_path):
         ids.update(r.id for r in part)
     assert sizes == {"train": 8, "validation": 1, "test": 1}
     assert len(ids) == 10  # a partition: nothing lost, nothing duplicated
+
+
+def write_tsv(path, records):
+    path.write_text("".join(f"{r.problem_text}\t{r.equation_text}\n" for r in records), encoding="utf-8")
+
+
+def test_split_reads_a_tsv_file_by_its_suffix(tmp_path):
+    data = tmp_path / "data.jsonl"
+    main(["datagen", "--n", "10", "--seed", "2", "--out", str(data)])
+    records = ds.load_dataset(data)
+    write_tsv(tmp_path / "data.tsv", records)
+    assert main(["split", "--in", str(tmp_path / "data.tsv"), "--out", str(tmp_path / "parts"), "--seed", "4"]) == 0
+    parts = [r for name in ("train", "validation", "test") for r in ds.load_dataset(tmp_path / "parts" / f"{name}.jsonl")]
+    # a TSV record's id is its line number
+    assert sorted((int(r.id), r.problem_text, r.equation_text) for r in parts) == [
+        (i, r.problem_text, r.equation_text) for i, r in enumerate(records, 1)]
 
 
 def test_split_same_seed_is_byte_identical(tmp_path):
@@ -328,6 +353,41 @@ def test_solve_unparseable_equation_is_data_error(capsys):
 def test_solve_requires_exactly_one_input(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "some problem", "--equation", "x = 1"]) == 2
+
+
+SUBCOMMAND_OPTIONS = {
+    "datagen": ["-h", "--help", "--n", "--seed", "--out", "--profile", "--allow-fractions"],
+    "split": ["-h", "--help", "--in", "--out", "--seed", "--ratios"],
+    "train": ["-h", "--help", "--config", "--seed"],
+    "eval": ["-h", "--help", "--config", "--in", "--out", "--checkpoint", "--predictions", "--predictor-cmd",
+             "--beam", "--tolerance"],
+    "solve": ["-h", "--help", "problem", "--equation", "--config", "--checkpoint", "--beam"],
+    "grid": ["-h", "--help", "--config", "--seed"],
+}
+
+
+def test_every_subcommand_option_is_listed():
+    # a new flag is a settable value to test: it shows up here as a one-line diff
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [s for action in parser._actions for s in (action.option_strings or [action.dest])]
+               for name, parser in sub.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["grid", "--parallel"], "--parallel"),
+    (["split", "--in", "data.tsv", "--out", "parts", "--format", "tsv"], "--format tsv"),
+    (["eval", "--format", "tsv"], "--format tsv"),
+    (["eval", "--seed", "1"], "--seed 1"),
+], ids=["grid-parallel", "split-format", "eval-format", "eval-seed"])
+def test_removed_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, unknown):
+    # the grid picks its workers, a .tsv suffix picks the format and eval draws no random numbers
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unknown}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
@@ -518,6 +578,22 @@ def test_eval_gold_predictions_score_perfectly(tmp_path, capsys):
     assert report["corpus_bleu"] == pytest.approx(100.0)
     assert "100.00%" in capsys.readouterr().out
     assert report_path.read_text(encoding="utf-8") == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_eval_reads_a_tsv_test_set_by_its_suffix(tmp_path):
+    data, _ = write_gold_predictions(tmp_path, 6)
+    records = ds.load_dataset(data)
+    write_tsv(tmp_path / "test.tsv", records)
+    preds = tmp_path / "preds_tsv.jsonl"
+    preds.write_text("".join(json.dumps({"id": str(i), "equation": r.equation_text if i % 2 else "x = 0"},
+                                        ensure_ascii=False) + "\n" for i, r in enumerate(records, 1)),
+                     encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--in", str(tmp_path / "test.tsv"), "--predictions", str(preds),
+                 "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [r["id"] for r in report["per_record"]] == ["1", "2", "3", "4", "5", "6"]
+    assert report["solution_accuracy"] == 0.5
 
 
 def test_eval_predictions_10000_term_sum_gets_a_verdict(tmp_path):
@@ -826,7 +902,7 @@ def test_grid_training_data_error_is_data_error_before_training(
     ds.save_dataset(records, path)
     calls = count_train_calls(monkeypatch)
     config = write_config(tmp_path, extra="grid.batch_sizes = 4,8\ngrid.epochs = 0,1\n")
-    assert main(["grid", "--config", str(config), "--parallel"]) == 3
+    assert main(["grid", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: " + expected)
     assert calls == [] and not (tmp_path / "grid.json").exists()
@@ -858,11 +934,17 @@ def test_grid_workers_capped_by_usable_cpus(monkeypatch):
     assert _grid_workers(6) == 3
 
 
-def grid_rows(tmp_path, batch_sizes, epochs, *flags):
+def grid_rows(tmp_path, batch_sizes, epochs):
     """Exit code and grid.json rows of one grid run on the split under tmp_path."""
     config = write_config(tmp_path, extra=f"grid.batch_sizes = {batch_sizes}\ngrid.epochs = {epochs}\n")
-    code = main(["grid", "--config", str(config), *flags])
+    code = main(["grid", "--config", str(config)])
     return code, json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))["rows"]
+
+
+def grid_workers(monkeypatch, workers):
+    """Make the grid run on ``workers`` workers whatever this host's CPU count:
+    one trains in this process, more start the worker pool."""
+    monkeypatch.setattr(mwp.cli, "_grid_workers", lambda jobs: workers)
 
 
 def count_train_calls(monkeypatch):
@@ -895,6 +977,7 @@ def test_grid_keeps_unsorted_duplicate_and_zero_epoch_cells(tmp_path):
 
 def test_grid_trains_once_per_batch_size(tmp_path, monkeypatch):
     make_parts(tmp_path)
+    grid_workers(monkeypatch, 1)  # the count sees only in-process train calls
     calls = count_train_calls(monkeypatch)
     code, rows = grid_rows(tmp_path, "2,4,2", "3,1")
     assert code == 0
@@ -903,12 +986,28 @@ def test_grid_trains_once_per_batch_size(tmp_path, monkeypatch):
     assert rows[4:] == rows[:2]
 
 
-def test_grid_parallel_matches_serial(tmp_path):
+def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
     make_parts(tmp_path)
+    grid_workers(monkeypatch, 1)
     assert grid_rows(tmp_path, "2,4", "2,1")[0] == 0
     serial = (tmp_path / "grid.json").read_bytes()
-    assert grid_rows(tmp_path, "2,4", "2,1", "--parallel")[0] == 0
+    grid_workers(monkeypatch, 2)
+    assert grid_rows(tmp_path, "2,4", "2,1")[0] == 0
     assert (tmp_path / "grid.json").read_bytes() == serial
+
+
+def test_grid_with_one_worker_never_starts_the_pool(tmp_path, monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} was started")
+
+    make_parts(tmp_path)
+    monkeypatch.setattr(mwp.cli, "_worker_pool", no_pool)
+    calls = count_train_calls(monkeypatch)
+    # one batch size needs one worker on any host
+    assert grid_rows(tmp_path, "4", "1")[0] == 0
+    grid_workers(monkeypatch, 1)
+    assert grid_rows(tmp_path, "2,4", "1")[0] == 0
+    assert calls == [(4, 1), (2, 1), (4, 1)]
 
 
 def test_grid_parallel_worker_error_marks_only_its_cells(tmp_path, monkeypatch):
@@ -923,11 +1022,13 @@ def test_grid_parallel_worker_error_marks_only_its_cells(tmp_path, monkeypatch):
         return inputs._replace(pairs=inputs.pairs + [(inputs.pairs[0][0], [BOS_ID])])
 
     monkeypatch.setattr(mwp.cli, "_training_inputs", with_short_target)
+    grid_workers(monkeypatch, 1)
     code, serial = grid_rows(tmp_path, "1,4", "0,1")
     assert code == 4
     assert ["error" in r for r in serial] == [False, True, False, False]
     assert "at least two tokens" in serial[1]["error"]
-    assert grid_rows(tmp_path, "1,4", "0,1", "--parallel") == (code, serial)
+    grid_workers(monkeypatch, 2)
+    assert grid_rows(tmp_path, "1,4", "0,1") == (code, serial)
 
 
 def test_worker_pool_runs_blas_on_one_thread(monkeypatch):
@@ -1030,20 +1131,38 @@ def test_eval_survives_truncated_or_flipped_checkpoint(trained, data):
     assert eval_damaged(root, damaged) in (0, 3)
 
 
-def test_checkpoint_max_len_past_its_bound_is_data_error(trained, capsys, monkeypatch):
-    root, blob = trained
+def with_edited_meta(blob, edit):
+    """The checkpoint bytes ``blob`` with ``edit`` applied to their metadata."""
     (meta_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
     start = len(MAGIC) + 8
     meta = json.loads(blob[start:start + meta_len])
-    meta["model_config"]["max_len"] = 10**12
+    edit(meta)
     edited = json.dumps(meta).encode("utf-8")
+    return blob[:len(MAGIC)] + struct.pack("<Q", len(edited)) + edited + blob[start + meta_len:]
+
+
+def test_checkpoint_max_len_past_its_bound_is_data_error(trained, capsys, monkeypatch):
+    root, blob = trained
     monkeypatch.setattr(mwp.model.network, "positional_encoding", no_position_table)
     (root / "damaged.json").unlink(missing_ok=True)  # other tests of this checkpoint write one
-    assert eval_damaged(root, blob[:len(MAGIC)] + struct.pack("<Q", len(edited)) + edited + blob[start + meta_len:]) == 3
+    assert eval_damaged(root, with_edited_meta(blob, lambda meta: meta["model_config"].update(max_len=10**12))) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert f"max_len must be at most {MAX_LEN_LIMIT}, got {10**12}" in err
     assert not (root / "damaged.json").exists()
+
+
+@pytest.mark.parametrize("last, problem", [(None, "duplicate tokens in vocabulary"),
+                                           ("<unk>", "token '<unk>' collides with a reserved token")],
+                         ids=["repeated-token", "reserved-token"])
+def test_checkpoint_bad_stored_vocab_is_data_error_naming_it(trained, capsys, last, problem):
+    def edit(meta):
+        tokens = meta["src_vocab"]
+        tokens[-1] = tokens[-2] if last is None else last
+
+    root, blob = trained
+    assert eval_damaged(root, with_edited_meta(blob, edit)) == 3
+    assert capsys.readouterr().err == f"data error: {root / 'damaged.ckpt'}: src_vocab: {problem}\n"
 
 
 def test_huge_weight_is_one_data_error_line(trained, capsys):

@@ -87,12 +87,7 @@ def test_match_counts_equal_naive_clipping():
             ref = list(cand)
         else:
             ref = [rng.choice(alphabet) for _ in range(rng.randrange(0, 13))]
-        assert _match_counts(cand, ref, MAX_N) == [oracle._matches(cand, ref, n) for n in range(1, MAX_N + 1)]
-
-
-def test_sentence_bleu_max_n_validation():
-    with pytest.raises(ValueError):
-        sentence_bleu(["a"], ["a"], max_n=0)
+        assert _match_counts(cand, ref) == [oracle._matches(cand, ref, n) for n in range(1, MAX_N + 1)]
 
 
 # --- corpus BLEU -------------------------------------------------------------
@@ -127,11 +122,6 @@ def test_corpus_bleu_skips_orders_longer_than_candidates():
 def test_corpus_bleu_empty_pairs_rejected():
     with pytest.raises(ValueError):
         corpus_bleu([])
-
-
-def test_corpus_bleu_max_n_validation():
-    with pytest.raises(ValueError, match="max_n"):
-        corpus_bleu([(["a"], ["a"])], max_n=0)
 
 
 # --- corpus evaluation ----------------------------------------------------------
@@ -315,9 +305,9 @@ def test_evaluate_corpus_counts_each_distinct_pair_once(monkeypatch):
     calls = []
     real = metrics._match_counts
 
-    def counting(candidate, reference, max_n):
+    def counting(candidate, reference):
         calls.append((tuple(candidate), tuple(reference)))
-        return real(candidate, reference, max_n)
+        return real(candidate, reference)
 
     monkeypatch.setattr(metrics, "_match_counts", counting)
     predictions = ["x = 2 + 3", "x = 2 + 3", "x = 1 +", "x = 1 +", "x = 2 + 3", "x=2+3"]

@@ -108,6 +108,16 @@ def test_profile_allows_zero_proportion():
     assert summarize(records)["add"] == 10
 
 
+@pytest.mark.parametrize("profile, named", [
+    ([("sub", "1"), ("sub", "0"), ("add", "1")], "sub"),  # a later sub=0 used to replace sub=1
+    ({"add": 0, "ADD": 1, "sub": 0}, "add"),  # keys name classes case-insensitively
+], ids=["same-key", "same-key-other-case"])
+def test_profile_refuses_a_class_named_twice(profile, named):
+    with pytest.raises(ValueError) as err:
+        generate_synthetic(10, seed=1, profile=profile)
+    assert str(err.value) == f"profile names class {named!r} twice"
+
+
 def test_profile_refuses_zero_denominator():
     with pytest.raises(ValueError, match="add=1/0"):
         generate_synthetic(10, seed=1, profile={"add": "1/0"})
