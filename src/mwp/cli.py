@@ -39,7 +39,7 @@ from .equation import DivisionByZero, ParseError, format_number, parse_equation,
 from .metrics import evaluate_corpus, format_results_table
 from .model.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .model.config import ModelConfig, TrainConfig
-from .model.decoding import beam_decode_batch, greedy_decode_batch
+from .model.decoding import beam_decode_batch
 from .model.external import FilePredictions, SubprocessPredictor, external_predict
 from .model.network import init_parameters
 from .model.training import prepare_pairs, source_ids, target_tokens, train
@@ -128,10 +128,7 @@ def _predict_with_checkpoint(ckpt: Checkpoint, records, beam: int) -> list[str]:
     # decoding stops at non-finite logits with one ValueError (exit 3), so numpy's
     # overflow warnings from huge but finite weights on the way there are not printed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if beam > 0:
-            decoded = beam_decode_batch(ckpt.params, ckpt.config, sources, beam_size=beam)
-        else:
-            decoded = greedy_decode_batch(ckpt.params, ckpt.config, sources)
+        decoded = beam_decode_batch(ckpt.params, ckpt.config, sources, beam_size=max(beam, 1))
     return [" ".join(decode(ids, ckpt.tgt_vocab)) for ids in decoded]
 
 
@@ -475,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint path (default from config)")
     p.add_argument("--predictions", help="JSONL file of {'id', 'equation'} predictions")
     p.add_argument("--predictor-cmd", help="command reading request JSONL on stdin, writing predictions")
-    p.add_argument("--beam", type=int, help="beam size; 0 decodes greedily")
+    p.add_argument("--beam", type=int, help="beam size; 0 and 1 both decode greedily")
     p.add_argument("--tolerance", help="solution-accuracy tolerance (rational, default 0)")
     p.set_defaults(func=cmd_eval)
 
@@ -484,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equation", help="equation to parse and solve directly")
     p.add_argument("--config", help="run config file")
     p.add_argument("--checkpoint", help="checkpoint path (default from config)")
-    p.add_argument("--beam", type=int, help="beam size; 0 decodes greedily")
+    p.add_argument("--beam", type=int, help="beam size; 0 and 1 both decode greedily")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("grid", help="train/eval every batch-size x epochs cell")

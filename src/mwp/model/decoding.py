@@ -1,4 +1,4 @@
-"""Greedy and beam-search decoding with a key/value cache.
+"""Beam-search decoding with a key/value cache; greedy is beam width 1.
 
 Each source is encoded once. Every decoding step then feeds one new token
 per sequence through ``decode_step``, which appends that position's
@@ -6,34 +6,32 @@ self-attention keys and values to a cache and attends to cross-attention
 keys and values projected once per source, so no step re-runs the decoder
 over the prefix.
 
-``greedy_decode_batch`` and ``beam_decode_batch`` take a list of sources
-and decode them in length-sorted chunks, so a chunk pads little; padded
-source positions are masked. A chunk is padded once and encoded
-``ENCODE_ROWS`` (8) records at a time, which gives the same bits as one
-call while the encoder's feed-forward transient stays that of 8 rows. A
-chunk's cache is freed before the next one is built, so one cache is alive
-at a time.
+``beam_decode_batch`` takes a list of sources and decodes them in
+length-sorted chunks of ``CHUNK_ROWS`` (32) rows, so a chunk pads little;
+padded source positions are masked. That is 32 records per chunk at width
+1 and 8 at width 4. A chunk is padded once and encoded ``ENCODE_ROWS`` (8)
+records at a time, which gives the same bits as one call while the
+encoder's feed-forward transient stays that of 8 rows. A chunk's cache is
+freed before the next one is built, so one cache is alive at a time.
 
-Greedy decodes ``GREEDY_CHUNK_SIZE`` (32) records per chunk, and a row
-leaves the batch and the cache when it emits EOS. Beam search decodes
-``BEAM_CHUNK_SIZE`` (8) records per chunk, up to 8 * beam_size rows. Its
-memory peak is ``DecoderCache.select`` copying every live row's
-self-attention keys and values at each step while the old cache is still
-alive, so larger beam chunks raise the process's peak. The live
-hypotheses of every record share one step, each gathering its
+The live hypotheses of every record share one step, each gathering its
 self-attention cache row from its parent, while all of a record's
 hypotheses share its one copy of the cross-attention keys and values. A
-record stops taking rows once all of its beams have finished. One
-log-softmax and one stable sort per step rank the next tokens of every
-live row; each record then keeps its own best hypotheses.
+step that keeps every row in order copies nothing. A record's rows leave
+the cache once all of its beams have finished. The memory peak is
+``DecoderCache.select`` copying every live row's self-attention keys and
+values while the old cache is still alive, so larger chunks raise the
+process's peak. One log-softmax and one stable sort per step rank the
+next tokens of every live row; each record then keeps its own best
+hypotheses.
 
 ``beam_decode`` is beam search over one source. Returned ids exclude BOS
-and EOS and come back in input order. Ties are broken toward the smaller
-token id, so decoding is fully deterministic; beam search with
-beam_size=1 reproduces greedy decoding exactly. A step whose logits are
-not all finite raises ``ValueError``: the weights overflow, so no
-prediction from them means anything. The PAD, BOS and EOS ids are the ones
-``mwp.preprocess`` reserves.
+and EOS and come back in input order. Equal scores rank by token tuple,
+so decoding is fully deterministic: a tie goes to the smaller token id,
+except that ending with EOS wins it, and width 1 takes the argmax at each
+step. A step whose logits are not all finite raises ``ValueError``: the
+weights overflow, so no prediction from them means anything. The PAD, BOS
+and EOS ids are the ones ``mwp.preprocess`` reserves.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ from .attention import log_softmax
 from .config import ModelConfig
 from .network import Parameters, decode_step, encode, pad_rows, start_decoding
 
-GREEDY_CHUNK_SIZE = 32
-BEAM_CHUNK_SIZE = 8  # records per chunk, so at most BEAM_CHUNK_SIZE * beam_size rows per step
+CHUNK_ROWS = 32  # rows per chunk: CHUNK_ROWS // beam_size records, at least one
 ENCODE_ROWS = 8  # records per encoder call: its feed-forward hidden layer is the largest transient
 
 # beam hypothesis: (token tuple starting with BOS, summed logprob, finished,
@@ -92,32 +89,6 @@ def _encode_in_slices(params: Parameters, config: ModelConfig, src: np.ndarray):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def greedy_decode_batch(
-    params: Parameters, config: ModelConfig, sources, max_steps: int | None = None
-) -> list[list[int]]:
-    """Greedy ids for each source, in input order: each repeatedly appends
-    the argmax token until EOS or the step limit."""
-    limit = config.max_len - 1 if max_steps is None else max_steps
-    sources = list(sources)
-    results: list[list[int]] = [[] for _ in sources]
-    for chunk, cache in _encoded_chunks(params, config, sources, GREEDY_CHUNK_SIZE):
-        live = np.array(chunk)
-        tokens = np.full(len(chunk), BOS_ID, dtype=np.int64)
-        for step in range(1, limit + 1):
-            logits = _finite(decode_step(params, config, cache, tokens), step)
-            tokens = np.argmax(logits, axis=-1)
-            going = tokens != EOS_ID
-            for i, token in zip(live[going], tokens[going]):
-                results[i].append(int(token))
-            if not going.all():
-                if not going.any():
-                    break
-                keep = np.flatnonzero(going)
-                cache, live, tokens = cache.select(keep), live[keep], tokens[keep]
-        del cache  # before the next chunk's cache is built
-    return results
-
-
 def _final_score(h: Hypothesis) -> float:
     # unfinished survivors count their generated tokens; finished ones also
     # paid for EOS, so normalize by generated length including EOS
@@ -138,7 +109,7 @@ def beam_decode_batch(
     limit = config.max_len - 1 if max_steps is None else max_steps
     sources = list(sources)
     results: list[list[int]] = [[] for _ in sources]
-    for chunk, cache in _encoded_chunks(params, config, sources, BEAM_CHUNK_SIZE):
+    for chunk, cache in _encoded_chunks(params, config, sources, max(1, CHUNK_ROWS // beam_size)):
         beams: list[list[Hypothesis]] = [[((BOS_ID,), 0.0, False, row)] for row in range(len(chunk))]
         for step in range(1, limit + 1):
             # a record whose beams have all finished has no live rows left

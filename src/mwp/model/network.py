@@ -468,8 +468,11 @@ class DecoderCache:
 
     def select(self, rows) -> "DecoderCache":
         """The cache of ``rows`` in that order; a row may repeat. The
-        records' keys, values and source mask are shared, not copied."""
+        records' keys, values and source mask are shared, not copied, and
+        the rows in their own order are this cache itself."""
         rows = np.asarray(rows, dtype=np.intp)
+        if len(rows) == len(self.key_ok) and (rows == np.arange(len(rows))).all():
+            return self
         return DecoderCache(
             self.weights,
             self.cross,

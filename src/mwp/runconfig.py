@@ -76,7 +76,7 @@ def as_tolerance(value: str) -> Fraction:
 
 
 def checked_beam(beam: int) -> int:
-    """A beam size, at least 0; 0 decodes greedily."""
+    """A beam size, at least 0; 0 and 1 both decode greedily."""
     if beam < 0:
         raise ConfigError(f"beam must be >= 0 (0 decodes greedily), got {beam}")
     return beam
@@ -99,7 +99,7 @@ class RunConfig:
     # run-wide settings
     seed: int = 0
     tolerance: Fraction = Fraction(0)
-    beam: int = 0  # 0 decodes greedily
+    beam: int = 0  # 0 and 1 both decode greedily
     # hyperparameter grid
     grid_batch_sizes: tuple[int, ...] = (8, 16)
     grid_epochs: tuple[int, ...] = (5, 10, 15)

@@ -24,7 +24,7 @@ from mwp.cli import main
 from mwp.equation import DivisionByZero, Equation, evaluate, parse_equation, to_canonical_string
 from mwp.metrics import CORRECT, WRONG, corpus_bleu, evaluate_corpus, sentence_bleu
 from mwp.model.config import ModelConfig, TrainConfig
-from mwp.model.decoding import greedy_decode_batch
+from mwp.model.decoding import beam_decode_batch
 from mwp.model.network import backward, cross_entropy_loss, forward, init_parameters
 from mwp.model.training import prepare_pairs, train
 from mwp.preprocess import DANDA, build_vocab, normalize_digits, tokenize
@@ -142,7 +142,7 @@ def test_c04_overfit_64_records():
     params = init_parameters(config, np.random.default_rng(0))
     epochs = 100  # within the 300-epoch budget
     params = train(params, config, TrainConfig(batch_size=8, epochs=epochs, seed=0), pairs)
-    decoded = greedy_decode_batch(params, config, [src for src, _ in pairs])
+    decoded = beam_decode_batch(params, config, [src for src, _ in pairs], beam_size=1)
     hits = sum(got == tgt[1:-1] for got, (_, tgt) in zip(decoded, pairs))
     elapsed = time.monotonic() - start
     check("overfit", hits >= 0.95 * len(pairs) and elapsed < 300,

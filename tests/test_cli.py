@@ -757,6 +757,39 @@ def test_negative_beam_is_config_error_before_loading_a_checkpoint(tmp_path, cap
     assert not report.exists()
 
 
+def test_beam_zero_and_one_both_decode_greedily(tmp_path, capsys):
+    # one decoder: --beam 0 runs it at width 1, so eval's reports differ only
+    # in metadata.beam and solve prints the same lines; eval.beam = 0 in a
+    # config file acts as --beam 0
+    make_parts(tmp_path)
+    config = write_config(tmp_path)
+    text = config.read_text(encoding="utf-8").replace("train.epochs = 2", "train.epochs = 60")
+    config.write_text(text, encoding="utf-8")  # enough to fit the training set
+    assert main(["train", "--config", str(config)]) == 0
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(text + "\neval.beam = 0\n", encoding="utf-8")
+    train_set = tmp_path / "parts" / "train.jsonl"
+    problems = [json.loads(line)["problem"] for line in train_set.read_text(encoding="utf-8").splitlines()[:3]]
+    runs = {}
+    for name, flags in (("flag 0", ["--config", str(config), "--beam", "0"]),
+                        ("flag 1", ["--config", str(config), "--beam", "1"]),
+                        ("key 0", ["--config", str(keyed)])):
+        capsys.readouterr()
+        assert main(["eval", *flags, "--in", str(train_set)]) == 0
+        printed = [capsys.readouterr()]
+        for problem in problems:
+            assert main(["solve", *flags, problem]) == 0
+            printed.append(capsys.readouterr())
+        runs[name] = printed, json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert runs["flag 0"] == runs["key 0"]
+    (printed0, report0), (printed1, report1) = runs["flag 0"], runs["flag 1"]
+    assert printed1 == printed0
+    assert all(out.out.startswith("equation: x = ") and out.out.count("\n") == 2 for out in printed0[1:])
+    assert report0["solution_accuracy"] > 0.5
+    assert (report0["metadata"].pop("beam"), report1["metadata"].pop("beam")) == (0, 1)
+    assert report1 == report0
+
+
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_odd_d_model_is_config_error(tmp_path, capsys, monkeypatch, command):
     make_parts(tmp_path)

@@ -1,5 +1,5 @@
-"""Decoding tests: greedy/beam agreement, stopping, determinism, and the
-cached decoders against naive full-prefix references."""
+"""Decoding tests: greedy (beam width 1) and wider beams, stopping,
+determinism, and the cached decoder against naive full-prefix references."""
 
 import functools
 import tracemalloc
@@ -9,13 +9,7 @@ import pytest
 
 from mwp.model import decoding
 from mwp.model.config import ModelConfig, TrainConfig
-from mwp.model.decoding import (
-    BEAM_CHUNK_SIZE,
-    GREEDY_CHUNK_SIZE,
-    beam_decode,
-    beam_decode_batch,
-    greedy_decode_batch,
-)
+from mwp.model.decoding import CHUNK_ROWS, beam_decode, beam_decode_batch
 from mwp.model.network import (
     DecoderCache,
     decode_step,
@@ -29,6 +23,7 @@ from mwp.model.training import prepare_pairs, train
 from mwp.preprocess import BOS_ID, EOS_ID, PAD_ID, build_vocab, tokenize
 from mwp.synth import generate_synthetic
 
+WIDTH4_RECORDS = CHUNK_ROWS // 4  # records in a chunk of beam width 4
 SMALL = dict(d_model=16, n_heads=2, d_ff=32, n_encoder_layers=1, n_decoder_layers=1,
              dropout=0.0, max_len=32)
 
@@ -58,28 +53,28 @@ def overfit_setup():
 
 def test_greedy_respects_step_limit():
     params, config = random_setup(0)
-    out = greedy_decode_batch(params, config, [[5, 6, 7]], max_steps=4)[0]
+    out = beam_decode_batch(params, config, [[5, 6, 7]], beam_size=1, max_steps=4)[0]
     assert len(out) <= 4
     assert all(isinstance(t, int) and 0 <= t < config.tgt_vocab_size for t in out)
 
 
 def test_greedy_default_limit_is_max_len():
     params, config = random_setup(1)
-    out = greedy_decode_batch(params, config, [[5, 6]])[0]
+    out = beam_decode_batch(params, config, [[5, 6]], beam_size=1)[0]
     assert len(out) <= config.max_len - 1
 
 
 def test_greedy_excludes_bos_and_eos():
     params, config = random_setup(2)
-    out = greedy_decode_batch(params, config, [[4, 5, 6]], max_steps=10)[0]
+    out = beam_decode_batch(params, config, [[4, 5, 6]], beam_size=1, max_steps=10)[0]
     assert BOS_ID not in out
     assert EOS_ID not in out
 
 
 def test_greedy_is_deterministic():
     params, config = random_setup(3)
-    a = greedy_decode_batch(params, config, [[5, 8, 3]], max_steps=8)[0]
-    b = greedy_decode_batch(params, config, [[5, 8, 3]], max_steps=8)[0]
+    a = beam_decode_batch(params, config, [[5, 8, 3]], beam_size=1, max_steps=8)[0]
+    b = beam_decode_batch(params, config, [[5, 8, 3]], beam_size=1, max_steps=8)[0]
     assert a == b
 
 
@@ -88,7 +83,7 @@ def test_greedy_breaks_argmax_ties_toward_smallest_id():
     # the argmax must consistently resolve to token id 0.
     params, config = random_setup(5)
     params = {k: np.zeros_like(v) for k, v in params.items()}
-    out = greedy_decode_batch(params, config, [[5, 6]], max_steps=5)[0]
+    out = beam_decode_batch(params, config, [[5, 6]], beam_size=1, max_steps=5)[0]
     assert out == [0] * 5
 
 
@@ -99,7 +94,7 @@ def test_beam_size_one_equals_greedy_on_random_models():
     for seed in range(6):
         params, config = random_setup(seed + 10)
         src = [4 + seed, 5, 6]
-        assert beam_decode(params, config, src, beam_size=1) == greedy_decode_batch(params, config, [src])[0]
+        assert beam_decode(params, config, src, beam_size=1) == reference_greedy(params, config, src)
 
 
 def test_beam_rejects_nonpositive_size():
@@ -138,7 +133,7 @@ def test_trained_model_decodes_exact_targets():
     params, config, pairs = overfit_setup()
     for src, tgt in pairs:
         want = tgt[1:-1]  # strip BOS/EOS
-        got = greedy_decode_batch(params, config, [src])[0]
+        got = beam_decode_batch(params, config, [src], beam_size=1)[0]
         # EOS fired at the right step: lengths match, not just prefixes.
         assert got == want
 
@@ -209,24 +204,25 @@ def mixed_sources(seed, n, vocab=11):
     return sources
 
 
-@pytest.mark.parametrize("n", sorted({1, 8, 9, 19, GREEDY_CHUNK_SIZE, GREEDY_CHUNK_SIZE + 1, 2 * GREEDY_CHUNK_SIZE + 3}))
+@pytest.mark.parametrize("n", sorted({1, 8, 9, 19, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3}))
 def test_batched_greedy_matches_reference_on_random_models(n):
-    # n = chunk + 1 leaves a one-record chunk; 2 chunks + 3 crosses two
-    # boundaries; 8, 9 and 19 fill part of a chunk and cross encoder slices
+    # at width 1 a chunk holds CHUNK_ROWS records: n = chunk + 1 leaves a
+    # one-record chunk; 2 chunks + 3 crosses two boundaries; 8, 9 and 19
+    # fill part of a chunk and cross encoder slices
     for seed in range(3):
         params, config = random_setup(100 + seed)
         sources = mixed_sources(seed, n)
         want = [reference_greedy(params, config, src) for src in sources]
-        assert greedy_decode_batch(params, config, sources) == want
-        assert [greedy_decode_batch(params, config, [src])[0] for src in sources] == want
+        assert beam_decode_batch(params, config, sources, beam_size=1) == want
+        assert [beam_decode_batch(params, config, [src], beam_size=1)[0] for src in sources] == want
 
 
 def test_batched_greedy_matches_reference_with_step_limit():
     params, config = random_setup(110)
-    sources = mixed_sources(7, GREEDY_CHUNK_SIZE + 2)
+    sources = mixed_sources(7, CHUNK_ROWS + 2)
     for max_steps in (0, 1, 3):
         want = [reference_greedy(params, config, src, max_steps) for src in sources]
-        assert greedy_decode_batch(params, config, sources, max_steps=max_steps) == want
+        assert beam_decode_batch(params, config, sources, beam_size=1, max_steps=max_steps) == want
 
 
 def test_batched_greedy_masks_generated_pad_tokens():
@@ -234,8 +230,8 @@ def test_batched_greedy_masks_generated_pad_tokens():
     # must stay hidden from attention, as they are in a full forward
     params, config = random_setup(111)
     params["out.b"][PAD_ID] = 1.0
-    sources = mixed_sources(8, GREEDY_CHUNK_SIZE + 1)
-    got = greedy_decode_batch(params, config, sources, max_steps=12)
+    sources = mixed_sources(8, CHUNK_ROWS + 1)
+    got = beam_decode_batch(params, config, sources, beam_size=1, max_steps=12)
     assert got == [reference_greedy(params, config, src, 12) for src in sources]
     # some record goes on to a real token after feeding PAD back in
     assert any(PAD_ID in ids and set(ids[ids.index(PAD_ID):]) - {PAD_ID} for ids in got)
@@ -244,8 +240,8 @@ def test_batched_greedy_masks_generated_pad_tokens():
 def test_batched_greedy_all_zero_params_emits_pad():
     params, config = random_setup(112)
     params = {k: np.zeros_like(v) for k, v in params.items()}
-    sources = mixed_sources(9, GREEDY_CHUNK_SIZE + 1)
-    got = greedy_decode_batch(params, config, sources, max_steps=6)
+    sources = mixed_sources(9, CHUNK_ROWS + 1)
+    got = beam_decode_batch(params, config, sources, beam_size=1, max_steps=6)
     assert got == [reference_greedy(params, config, src, 6) for src in sources] == [[PAD_ID] * 6] * len(sources)
 
 
@@ -253,16 +249,16 @@ def test_batched_greedy_matches_reference_on_trained_model():
     params, config, pairs = overfit_setup()
     sources = [src for src, _ in pairs] * 3
     want = [reference_greedy(params, config, src) for src in sources]
-    assert greedy_decode_batch(params, config, sources) == want == [tgt[1:-1] for _, tgt in pairs] * 3
+    assert beam_decode_batch(params, config, sources, beam_size=1) == want == [tgt[1:-1] for _, tgt in pairs] * 3
 
 
 def test_batched_greedy_rejects_empty_and_overlong_sources():
     params, config = random_setup(113)
-    assert greedy_decode_batch(params, config, []) == []
+    assert beam_decode_batch(params, config, [], beam_size=1) == []
     with pytest.raises(ValueError, match="zero time steps"):
-        greedy_decode_batch(params, config, [[5, 6], []])
+        beam_decode_batch(params, config, [[5, 6], []], beam_size=1)
     with pytest.raises(ValueError, match="max_len"):
-        greedy_decode_batch(params, config, [[5] * (config.max_len + 1)])
+        beam_decode_batch(params, config, [[5] * (config.max_len + 1)], beam_size=1)
 
 
 @pytest.mark.parametrize("beam_size", [1, 2, 4])
@@ -284,8 +280,9 @@ def test_cached_beam_matches_reference_on_trained_model(beam_size):
 
 @pytest.mark.parametrize("beam_size", [1, 2, 4])
 # 4, 5 and 14 fill part of a chunk or a chunk and a remainder; the rest sit
-# on the chunk boundaries
-@pytest.mark.parametrize("n", sorted({1, 4, 5, 14, BEAM_CHUNK_SIZE, BEAM_CHUNK_SIZE + 1, 3 * BEAM_CHUNK_SIZE + 2}))
+# on the chunk boundaries of width 4
+@pytest.mark.parametrize("n", sorted({1, 4, 5, 14, WIDTH4_RECORDS - 1, WIDTH4_RECORDS, WIDTH4_RECORDS + 1,
+                                      3 * WIDTH4_RECORDS + 2}))
 def test_batched_beam_matches_reference_on_random_models(n, beam_size):
     # sources of lengths 1..12 share chunks, so padded source positions must be masked
     for seed in range(2):
@@ -298,7 +295,7 @@ def test_batched_beam_matches_reference_on_random_models(n, beam_size):
 @pytest.mark.parametrize("beam_size", [1, 2, 4])
 def test_batched_beam_matches_reference_with_step_limit(beam_size):
     params, config = random_setup(142)
-    sources = mixed_sources(22, BEAM_CHUNK_SIZE + 2)
+    sources = mixed_sources(22, WIDTH4_RECORDS + 2)
     for max_steps in (0, 1, 3):
         want = [reference_beam(params, config, src, beam_size, max_steps) for src in sources]
         assert beam_decode_batch(params, config, sources, beam_size=beam_size, max_steps=max_steps) == want
@@ -310,7 +307,7 @@ def test_batched_beam_records_finishing_at_different_steps(beam_size):
     # others in the same chunk run on to the step limit
     params, config = random_setup(131)
     params["out.b"][EOS_ID] = 2.0
-    sources = mixed_sources(131, 2 * BEAM_CHUNK_SIZE + 1)
+    sources = mixed_sources(131, 2 * WIDTH4_RECORDS + 1)
     want = [reference_beam(params, config, src, beam_size) for src in sources]
     got = beam_decode_batch(params, config, sources, beam_size=beam_size)
     assert got == want
@@ -328,7 +325,7 @@ def test_batched_beam_matches_reference_on_trained_model():
 def test_batched_beam_returns_input_order():
     params, config = random_setup(143)
     params["out.b"][EOS_ID] = 2.0
-    sources = mixed_sources(23, 2 * BEAM_CHUNK_SIZE + 3)
+    sources = mixed_sources(23, 2 * WIDTH4_RECORDS + 3)
     got = beam_decode_batch(params, config, sources, beam_size=3)
     assert got == [beam_decode(params, config, src, beam_size=3) for src in sources]
     # longest source first reverses the order the chunks decode in
@@ -339,8 +336,9 @@ def test_batched_beam_returns_input_order():
 def test_batched_beam_size_one_equals_batched_greedy():
     for seed in range(3):
         params, config = random_setup(144 + seed)
-        sources = mixed_sources(24 + seed, GREEDY_CHUNK_SIZE + BEAM_CHUNK_SIZE + 1)
-        assert beam_decode_batch(params, config, sources, beam_size=1) == greedy_decode_batch(params, config, sources)
+        sources = mixed_sources(24 + seed, CHUNK_ROWS + WIDTH4_RECORDS + 1)
+        want = [reference_greedy(params, config, src) for src in sources]
+        assert beam_decode_batch(params, config, sources, beam_size=1) == want
 
 
 def test_batched_beam_rejects_bad_input():
@@ -365,11 +363,11 @@ def test_position_table_is_cached_and_read_only():
 # --- beam rows share their record's cross-attention keys and values ------------
 
 
-@pytest.mark.parametrize("chunk_size", [1, 4, 8, 16])
-def test_beam_ids_do_not_depend_on_chunk_size(chunk_size, monkeypatch):
+@pytest.mark.parametrize("chunk_rows", [1, 4, 8, 16])
+def test_beam_ids_do_not_depend_on_chunk_size(chunk_rows, monkeypatch):
     # 19 mixed-length sources: chunks of every size pad differently and
-    # leave a short last chunk
-    monkeypatch.setattr(decoding, "BEAM_CHUNK_SIZE", chunk_size)
+    # leave a short last chunk; 1 row is fewer than a beam, so one record
+    monkeypatch.setattr(decoding, "CHUNK_ROWS", chunk_rows)
     params, config = random_setup(150)
     params["out.b"][EOS_ID] = 1.0
     sources = mixed_sources(150, 19)
@@ -400,15 +398,18 @@ def test_select_shares_cross_keys_values_and_source_mask():
         np.testing.assert_allclose(logits[row], decode_step(params, config, alone, [token])[0], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("decode", ["greedy", "beam"])
-def test_decoders_never_copy_cross_keys_and_values(decode, monkeypatch):
+def test_decoders_never_copy_cross_keys_and_values(monkeypatch):
     # every select during a real decode keeps the very same cross arrays and
-    # composes the row -> record index with the rows it picks
+    # composes the row -> record index with the rows it picks, or keeps
+    # every row in order and is the cache itself
     seen = []
     select = DecoderCache.select
 
     def checked_select(self, rows):
         out = select(self, rows)
+        if out is self:
+            assert np.asarray(rows).tolist() == list(range(len(self.key_ok)))
+            return out
         assert out.src_mask is self.src_mask
         assert all(k is k0 and v is v0 for (k, v), (k0, v0) in zip(out.cross, self.cross))
         before = np.arange(len(self.key_ok)) if self.record is None else self.record
@@ -421,16 +422,27 @@ def test_decoders_never_copy_cross_keys_and_values(decode, monkeypatch):
     params, config = random_setup(152)
     params["out.b"][EOS_ID] = 2.0
     sources = mixed_sources(152, 11)
-    if decode == "greedy":
-        got = greedy_decode_batch(params, config, sources)
-        assert got == [reference_greedy(params, config, src) for src in sources]
-    else:
-        got = beam_decode_batch(params, config, sources, beam_size=3)
-        assert got == [reference_beam(params, config, src, 3) for src in sources]
+    got = beam_decode_batch(params, config, sources, beam_size=3)
+    assert got == [reference_beam(params, config, src, 3) for src in sources]
     assert seen  # rows were dropped or regrouped at least once
 
 
-# --- greedy chunks encoded in slices, one cache alive at a time ---------------------
+def test_select_of_every_row_in_order_is_the_cache_itself():
+    # greedy keeps every row in order at each step where no record ends: that
+    # select copies no self-attention keys and keeps the row -> record index
+    params, config = random_setup(153)
+    cache = start_decoding(params, config, *encode(params, config, [[5, 6, 7], [4, 9, 3]]))
+    decode_step(params, config, cache, [BOS_ID] * 2)
+    keys, values, key_ok, record = cache.keys, cache.values, cache.key_ok, cache.record
+    assert cache.select(range(2)) is cache
+    assert cache.keys is keys and cache.values is values and cache.key_ok is key_ok and cache.record is record
+    regrouped = cache.select([1, 0])
+    assert regrouped.select([0, 1]) is regrouped
+    assert regrouped.record.tolist() == [1, 0]
+    assert cache.select([0]) is not cache  # a subset is a new cache
+
+
+# --- chunks encoded in slices, one cache alive at a time ----------------------------
 
 
 def test_encode_of_a_padded_batch_equals_its_slices_bit_for_bit():
@@ -452,15 +464,15 @@ def test_greedy_memory_peak_does_not_grow_with_chunks():
     params, config = random_setup(161)
     params["out.b"][EOS_ID] = -1e3
     rng = np.random.default_rng(161)
-    sources = [rng.integers(3, 11, size=30) for _ in range(3 * GREEDY_CHUNK_SIZE)]
+    sources = [rng.integers(3, 11, size=30) for _ in range(3 * CHUNK_ROWS)]
 
     def peak(batch):
         tracemalloc.start()
-        greedy_decode_batch(params, config, batch)
+        beam_decode_batch(params, config, batch, beam_size=1)
         _, top = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return top
 
-    greedy_decode_batch(params, config, sources[:1])  # builds the cached position table
-    one_chunk = peak(sources[:GREEDY_CHUNK_SIZE])
+    beam_decode_batch(params, config, sources[:1], beam_size=1)  # builds the cached position table
+    one_chunk = peak(sources[:CHUNK_ROWS])
     assert peak(sources) <= 1.1 * one_chunk

@@ -118,10 +118,10 @@ def test_padding_source_positions_are_inert():
     np.testing.assert_allclose(out_a, out_b, atol=1e-9)
 
 
-def stepped_logits(params, memory, src_mask, tgt_in):
+def stepped_logits(params, memory, src_mask, tgt_in, config=TINY):
     """Logits for ``tgt_in`` from a ``decode_step`` loop, one position per call."""
-    cache = start_decoding(params, TINY, memory, src_mask)
-    return np.stack([decode_step(params, TINY, cache, tgt_in[:, t]) for t in range(tgt_in.shape[1])], axis=1)
+    cache = start_decoding(params, config, memory, src_mask)
+    return np.stack([decode_step(params, config, cache, tgt_in[:, t]) for t in range(tgt_in.shape[1])], axis=1)
 
 
 def test_decode_step_loop_matches_forward():
@@ -220,8 +220,20 @@ def test_ce_stable_for_large_logits():
 # --- gradients -------------------------------------------------------------------
 
 
-def finite_difference_check(params, config, eps=1e-5, samples_per_tensor=3):
-    loss, grads = backward(params, config, SRC, TGT_IN, TGT_OUT)
+def finite_difference_check(params, config, eps=1e-5, samples_per_tensor=3, dropout_seed=None):
+    """The loss and the worst relative error of ``backward`` against central
+    differences on a few coordinates of every parameter tensor. With a
+    ``dropout_seed`` every evaluation trains with a fresh
+    ``default_rng(dropout_seed)``, so all of them draw the same dropout masks."""
+    train = dropout_seed is not None
+
+    def masks():
+        return np.random.default_rng(dropout_seed) if train else None
+
+    def loss_at():
+        return cross_entropy_loss(forward_with_tape(params, config, SRC, TGT_IN, train, masks())[0], TGT_OUT)
+
+    loss, grads = backward(params, config, SRC, TGT_IN, TGT_OUT, train, masks())
     worst = 0.0
     rng = np.random.default_rng(99)
     for key in sorted(params):
@@ -231,9 +243,9 @@ def finite_difference_check(params, config, eps=1e-5, samples_per_tensor=3):
         for idx in idxs:
             original = flat[idx]
             flat[idx] = original + eps
-            up = cross_entropy_loss(forward(params, config, SRC, TGT_IN), TGT_OUT)
+            up = loss_at()
             flat[idx] = original - eps
-            down = cross_entropy_loss(forward(params, config, SRC, TGT_IN), TGT_OUT)
+            down = loss_at()
             flat[idx] = original
             numeric = (up - down) / (2.0 * eps)
             analytic = grad_flat[idx]
@@ -247,6 +259,31 @@ def test_gradients_match_finite_differences_sampled():
     loss, worst = finite_difference_check(params, TINY)
     assert loss > 0.0
     assert worst <= 1e-3, worst
+
+
+# the shipped depth, 2 encoder and 2 decoder layers, at a tiny width: a
+# gradient one layer drops on its way back shows only with a second layer
+DEEP = dataclasses.replace(TINY, n_encoder_layers=2, n_decoder_layers=2)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_gradients_match_finite_differences_at_shipped_depth(dropout):
+    config = dataclasses.replace(DEEP, dropout=dropout)
+    params = init_parameters(config, np.random.default_rng(2))
+    loss, worst = finite_difference_check(params, config, dropout_seed=7)
+    assert loss > 0.0
+    assert worst <= 1e-3, worst
+
+
+def test_decode_step_loop_matches_forward_at_shipped_depth():
+    # a padded source row, PAD tokens inside target prefixes, and a target
+    # row that is all PAD after BOS
+    params = init_parameters(DEEP, np.random.default_rng(3))
+    src = np.vstack([SRC, [5, PAD_ID, PAD_ID, PAD_ID, PAD_ID]])
+    tgt_in = np.array([[1, 4, PAD_ID, 6], [1, 7, 8, PAD_ID], [1, PAD_ID, PAD_ID, PAD_ID]])
+    memory, src_mask = encode(params, DEEP, src)
+    stepped = stepped_logits(params, memory, src_mask, tgt_in, DEEP)
+    np.testing.assert_allclose(stepped, forward(params, DEEP, src, tgt_in), rtol=0, atol=1e-12)
 
 
 def test_gradient_structure_matches_parameters():
